@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -300,10 +301,7 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    speeds = [float(s) for s in args.speeds.split(",") if s.strip()]
-    if not speeds:
-        raise ConfigError("--speeds must list at least one airspeed")
-    rows = compare_rows(cfg, speeds)
+    rows = compare_rows(cfg, args.speeds)
 
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
@@ -331,6 +329,25 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if any("saving_percent" in r for r in rows) else 3
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _speeds(text: str) -> list[float]:
+    """argparse type for --speeds: comma-separated finite numbers; blanks skipped."""
+    values = [_finite(item) for item in text.split(",") if item.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one airspeed")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftwing",
@@ -339,24 +356,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config path (or $LIFTWING_CONFIG)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--capacity-mah", type=float, default=None,
+    parser.add_argument("--capacity-mah", type=_finite, default=None,
                         help="override battery capacity (Q[A*s] = mAh * 3.6)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trim = sub.add_parser("trim", help="solve one trim point")
-    p_trim.add_argument("--gamma", type=float, required=True, help="mounting angle, deg")
+    p_trim.add_argument("--gamma", type=_finite, required=True, help="mounting angle, deg")
     group = p_trim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", type=float, help="attack angle, deg")
-    group.add_argument("--speed", type=float, help="airspeed, m/s")
+    group.add_argument("--alpha", type=_finite, help="attack angle, deg")
+    group.add_argument("--speed", type=_finite, help="airspeed, m/s")
     p_trim.set_defaults(func=cmd_trim)
 
     p_sweep = sub.add_parser("sweep", help="exhaustive (gamma, alpha) range sweep")
     p_sweep.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                          help="parallel workers")
-    p_sweep.add_argument("--margin", type=float, default=None,
+    p_sweep.add_argument("--margin", type=_finite, default=None,
                          help="override the stall safety margin, deg")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -368,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_cmp = sub.add_parser("compare", help="wing vs wingless current draw at fixed speeds")
-    p_cmp.add_argument("--speeds", default="5,10,15", help="comma-separated airspeeds, m/s")
-    p_cmp.add_argument("--gamma", dest="gamma_config", type=float, default=None,
+    p_cmp.add_argument("--speeds", type=_speeds, default="5,10,15",
+                       help="comma-separated airspeeds, m/s")
+    p_cmp.add_argument("--gamma", dest="gamma_config", type=_finite, default=None,
                        help="override the configured mounting angle, deg")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -7,6 +7,7 @@ Unknown keys are rejected so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,7 +185,20 @@ def _require(mapping: dict, allowed: tuple[str, ...], where: str) -> dict:
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite")
+    return number
+
+
+def _int(value, where: str) -> int:
+    number = _num(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer")
+    return int(number)
 
 
 def _pair(value, where: str) -> tuple[float, float]:
@@ -199,7 +213,8 @@ def _surrogate(doc: dict, where: str) -> PolySurrogate:
     for k, term in enumerate(doc["terms"]):
         if not isinstance(term, (list, tuple)) or len(term) != 3:
             raise ConfigError(f"{where}.terms[{k}] must be [vp_exp, rpm_exp, coeff]")
-        terms.append((int(term[0]), int(term[1]), _num(term[2], f"{where}.terms[{k}]")))
+        at = f"{where}.terms[{k}]"
+        terms.append((_int(term[0], at), _int(term[1], at), _num(term[2], at)))
     return PolySurrogate(
         terms=tuple(terms),
         vp_domain=_pair(doc["vp_domain_m_s"], f"{where}.vp_domain_m_s"),
@@ -225,7 +240,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         airframe = Airframe(
             mass=_num(af["mass_kg"], "airframe.mass_kg"),
             reference_area=_num(af["reference_area_m2"], "airframe.reference_area_m2"),
-            rotor_count=int(af["rotor_count"]),
+            rotor_count=_int(af["rotor_count"], "airframe.rotor_count"),
             prop_diameter=_num(af["prop_diameter_m"], "airframe.prop_diameter_m"),
             rotor_tilt=_num(af["rotor_tilt_deg"], "airframe.rotor_tilt_deg"),
             stall_alpha=_num(af["stall_alpha_deg"], "airframe.stall_alpha_deg"),

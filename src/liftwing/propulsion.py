@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .aero import Environment
 from .errors import Infeasible, OutOfEscDomain, OutOfSurrogateDomain
 
@@ -146,56 +148,31 @@ def esc_current(model: EscCurrentModel, torque_nm: float) -> float:
     return model.quad * torque_nm * torque_nm + model.lin * torque_nm + model.const
 
 
-_SCAN_SEGMENTS = 64
-
-
 def required_rpm(surrogate: PolySurrogate, thrust_required: float, vp: float) -> float:
     """Invert the thrust surrogate: the N with thrust(N, vp) = thrust_required.
 
     Only roots on the rising branch (dT/dN > 0) are physical: that is the
-    branch a speed controller can hold. Roots are located by a sign-change
-    scan across rpm_domain and refined by bisection; when several rising-branch
-    roots exist the smallest wins. A tangency (zero slope at the root) is not
-    a controllable operating point and reports Infeasible.
+    branch a speed controller can hold. At fixed vp the surrogate is a
+    polynomial in N, so every root comes from numpy.roots; of the real roots
+    in rpm_domain on the rising branch the smallest wins. A tangency (zero
+    slope at the root) is not a controllable operating point and reports
+    Infeasible.
     """
-    if thrust_required <= 0.0:
-        raise Infeasible("thrust_required must be positive", stage="rpm")
+    if not 0.0 < thrust_required < math.inf:
+        raise Infeasible("thrust_required must be positive and finite", stage="rpm")
     if not surrogate.vp_domain[0] <= vp <= surrogate.vp_domain[1]:
         raise OutOfSurrogateDomain(
             f"V_p={vp} m/s outside fit range {list(surrogate.vp_domain)}"
         )
 
+    coeffs = [0.0] * (max(j for _, j, _ in surrogate.terms) + 1)
+    for i, j, c in surrogate.terms:
+        coeffs[j] += c * vp**i
+    coeffs[0] -= thrust_required
+
     lo, hi = surrogate.rpm_domain
-
-    def f(n: float) -> float:
-        return surrogate.evaluate(n, vp) - thrust_required
-
-    step = (hi - lo) / _SCAN_SEGMENTS
-    nodes = [lo + k * step for k in range(_SCAN_SEGMENTS + 1)]
-    values = [f(n) for n in nodes]
-
-    roots = []
-    for k in range(_SCAN_SEGMENTS):
-        a, b = nodes[k], nodes[k + 1]
-        fa, fb = values[k], values[k + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fa * fm <= 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-                if b - a < 1e-11:
-                    break
-            roots.append(0.5 * (a + b))
-    if values[-1] == 0.0:
-        roots.append(nodes[-1])
-
-    rising = [r for r in roots if surrogate.d_drpm(r, vp) > 0.0]
+    real = [float(r.real) for r in np.roots(coeffs[::-1]) if r.imag == 0.0]
+    rising = [r for r in real if lo <= r <= hi and surrogate.d_drpm(r, vp) > 0.0]
     if not rising:
         raise Infeasible(
             f"no rising-branch N in {list(surrogate.rpm_domain)} RPM gives "

@@ -9,6 +9,8 @@ alpha <= stall_alpha - safety_margin backed into the airframe.
 from __future__ import annotations
 
 import json
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -55,6 +57,17 @@ class ModelBundle:
         )
 
 
+def _nodes(lo: float, hi: float, step: float) -> list[float]:
+    """Axis nodes lo, lo + step, ... that never pass hi.
+
+    A partial last step adds no node. The 1e-9 slack keeps the last node of a
+    span that is a whole number of steps up to rounding, and min() stops that
+    node from landing an ulp past hi.
+    """
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    return [min(lo + k * step, hi) for k in range(count)]
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Rectangular (gamma, alpha) grid in degrees."""
@@ -73,12 +86,10 @@ class SweepGrid:
             raise ValueError("grid min must not exceed max")
 
     def gammas(self) -> list[float]:
-        count = int(round((self.gamma_max - self.gamma_min) / self.gamma_step)) + 1
-        return [self.gamma_min + k * self.gamma_step for k in range(count)]
+        return _nodes(self.gamma_min, self.gamma_max, self.gamma_step)
 
     def alphas(self) -> list[float]:
-        count = int(round((self.alpha_max - self.alpha_min) / self.alpha_step)) + 1
-        return [self.alpha_min + k * self.alpha_step for k in range(count)]
+        return _nodes(self.alpha_min, self.alpha_max, self.alpha_step)
 
     def cell_count(self) -> int:
         return len(self.gammas()) * len(self.alphas())
@@ -159,14 +170,16 @@ def sweep(bundle: ModelBundle, grid: SweepGrid, jobs: int = 1) -> SweepResult:
     """Evaluate every cell exactly once and locate the capped-range argmax.
 
     Cell evaluations are independent pure computations; with jobs > 1 they run
-    in a process pool. Results are assembled by index, so the output is
-    bit-identical regardless of execution order or worker count.
+    in a process pool of at most min(jobs, CPU count, cell count) workers.
+    Results are assembled by index, so the output is bit-identical regardless
+    of execution order or worker count.
     """
     pairs = [(g, a) for g in grid.gammas() for a in grid.alphas()]
     worker = partial(_evaluate_cell, bundle)
-    if jobs > 1:
-        chunk = max(1, len(pairs) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        chunk = max(1, len(pairs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = tuple(pool.map(worker, pairs, chunksize=chunk))
     else:
         cells = tuple(worker(p) for p in pairs)

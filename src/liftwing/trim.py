@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .aero import Airframe, Environment, LinearAeroModel, lift_coefficient, drag_coefficient
 from .errors import HoverDegenerate, Infeasible, NoTrimAtSpeed
 from .propulsion import EscCurrentModel, PolySurrogate, axial_inflow, esc_current, required_rpm, torque
@@ -201,9 +199,9 @@ def trim_at_speed(
     """Trim at a fixed airspeed: solve for the pitch angle instead of the speed.
 
     Finds theta in (0, gamma] with alpha = gamma - theta inside the aero fit
-    range satisfying tan(theta) (m g - L) = D, by bracketed root-finding on
-    theta (converged well below 1e-8 deg). Raises NoTrimAtSpeed when the
-    residual has no sign change over the admissible bracket.
+    range satisfying tan(theta) (m g - L) = D, by bisection on theta until the
+    bracket ends are adjacent floats. Raises NoTrimAtSpeed when the residual
+    has no sign change over the admissible bracket.
     """
     if airspeed <= 0.0:
         raise NoTrimAtSpeed("airspeed must be positive")
@@ -244,7 +242,13 @@ def trim_at_speed(
             f"{airspeed} m/s (attack angle would leave the aero fit range)"
         )
     else:
-        theta = float(brentq(residual, lo, hi, xtol=1e-10, rtol=8.9e-16))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            r_mid = residual(mid)
+            if (r_mid < 0.0) == (r_lo < 0.0):
+                lo, r_lo = mid, r_mid
+            else:
+                hi, r_hi = mid, r_mid
+        theta = lo if abs(r_lo) <= abs(r_hi) else hi
 
     alpha = gamma - theta
     lift = q_s * lift_coefficient(aero, alpha)

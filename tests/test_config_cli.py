@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liftwing
 from liftwing import ConfigError, config_from_dict, config_to_dict, default_config, load_config, save_config
 from liftwing.cli import compare_rows, main
 
@@ -43,6 +48,31 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("airframe", "mass_kg", float("nan")),
+        ("battery", "capacity_As", float("inf")),
+        ("environment", "gravity_m_s2", float("-inf")),
+        ("airframe", "mass_kg", 10**400),
+        ("airframe", "rotor_count", 2.5),
+    ])
+    def test_non_finite_and_non_integral_values_rejected(self, cfg, section, key, value):
+        doc = config_to_dict(cfg)
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+            config_from_dict(doc)
+
+    def test_non_integral_surrogate_exponent_rejected(self, cfg):
+        doc = config_to_dict(cfg)
+        doc["thrust_surrogate"]["terms"][1][1] = 1.5
+        with pytest.raises(ConfigError, match=r"thrust_surrogate.terms\[1\] must be an integer"):
+            config_from_dict(doc)
+
+    def test_integral_float_counts_accepted(self, cfg):
+        doc = config_to_dict(cfg)
+        doc["airframe"]["rotor_count"] = 4.0
+        doc["thrust_surrogate"]["terms"][0][:2] = [0.0, 0.0]
+        assert config_from_dict(doc) == cfg
+
     def test_grid_conventions(self):
         assert default_config("exclude-zero").grid.cell_count() == 900
         assert default_config("include-zero").grid.cell_count() == 969
@@ -81,6 +111,27 @@ class TestCliTrim:
         assert boosted["endurance_s"] == pytest.approx(
             base["endurance_s"] * 36000.0 / 18000.0, rel=1e-12)
         assert boosted["rpm"] == base["rpm"]
+
+
+class TestCliNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["trim", "--gamma", "35", "--speed", "inf"],
+        ["compare", "--speeds", "abc"],
+        ["compare", "--speeds", "11,nan"],
+        ["compare", "--speeds", ","],
+        ["--capacity-mah", "nan", "hover"],
+        ["trim", "--gamma", "nan", "--alpha", "10"],
+        ["trim", "--gamma", "35", "--alpha=-inf"],
+        ["compare", "--gamma", "inf"],
+        ["sweep", "--margin", "nan"],
+    ])
+    def test_bad_number_exits_2_without_traceback(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "error: argument" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestCliConfigHandling:
@@ -242,3 +293,17 @@ def test_csv_output_format(capsys):
     assert lines[0].startswith("gamma_deg,alpha_deg,theta_deg")
     assert len(lines) == 2
     assert "." in lines[1] and "," in lines[1]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # a fresh interpreter, so modules the test session loaded do not count
+    package_root = str(Path(liftwing.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, liftwing.cli; print(liftwing.__file__); print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.split()
+    assert Path(where).resolve() == Path(liftwing.__file__).resolve()
+    assert loaded == "False"

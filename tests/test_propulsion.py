@@ -228,3 +228,28 @@ class TestRequiredRpm:
     def test_vp_outside_domain(self):
         with pytest.raises(OutOfSurrogateDomain):
             required_rpm(THRUST_DEFAULT, 4.905, 25.0)
+
+    def test_two_roots_inside_one_coarse_scan_segment(self):
+        # T(N, vp) - 4 = 1e-6 (N - 5010)(N - 5060) at vp = 2: both roots fall
+        # between 5000 and 5125 RPM, one step of a 64-segment sign scan of
+        # [2000, 10000], which sees no sign change there
+        close = PolySurrogate(((0, 0, 3.0 + 1e-6 * 5010.0 * 5060.0), (1, 0, 0.5),
+                               (0, 1, -1e-6 * 10070.0), (0, 2, 1e-6)))
+        n = required_rpm(close, 4.0, 2.0)
+        assert n == pytest.approx(5060.0, abs=1e-6)
+        assert n == pytest.approx(scan_required_rpm(close, 4.0, 2.0), abs=1e-4)
+
+    @pytest.mark.parametrize("thrust_required, vp", [
+        (6.0, 0.0), (6.5, 0.0), (5.0, 0.0), (5.5, 3.0), (3.0, 0.0), (14.0, 0.0)])
+    def test_cubic_surrogate_against_scan_oracle(self, thrust_required, vp):
+        # T = 1e-10 (N - 3000)(N - 5000)(N - 8000) + 6 + 2e-6 vp N: rising,
+        # falling, rising across the domain, so the smallest rising-branch
+        # root moves between branches with the thrust asked for
+        cubic = PolySurrogate(((0, 0, -6.0), (0, 1, 7.9e-3), (1, 1, 2e-6),
+                               (0, 2, -1.6e-6), (0, 3, 1e-10)))
+        scan = scan_required_rpm(cubic, thrust_required, vp)
+        if scan is None:
+            with pytest.raises(Infeasible):
+                required_rpm(cubic, thrust_required, vp)
+        else:
+            assert required_rpm(cubic, thrust_required, vp) == pytest.approx(scan, abs=1e-4)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import pytest
 
@@ -35,11 +36,60 @@ class TestGrid:
         grid = SweepGrid(0.0, 50.0, 1.0, 0.0, 18.0, 1.0)
         assert grid.cell_count() == 51 * 19
 
+    @pytest.mark.parametrize("grid, counts", [
+        (SweepGrid(1.0, 1.6, 0.4, 1.0, 2.0, 1.0), (2, 2)),
+        (SweepGrid(0.0, 0.3, 0.1, -1.0, 1.0, 0.7), (4, 3)),
+        (SweepGrid(1.0, 50.0, 1.0, 1.0, 18.0, 1.0), (50, 18)),
+        (SweepGrid(0.0, 50.0, 1.0, 0.0, 18.0, 1.0), (51, 19)),
+        (SweepGrid(1.0, 50.0, 0.25, 1.0, 18.0, 0.25), (197, 69)),
+    ])
+    def test_nodes_stay_within_bounds(self, grid, counts):
+        gammas, alphas = grid.gammas(), grid.alphas()
+        assert (len(gammas), len(alphas)) == counts
+        assert grid.cell_count() == counts[0] * counts[1]
+        assert all(grid.gamma_min <= g <= grid.gamma_max for g in gammas)
+        assert all(grid.alpha_min <= a <= grid.alpha_max for a in alphas)
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid(1.0, 50.0, 0.0, 1.0, 18.0, 1.0)
         with pytest.raises(ValueError):
             SweepGrid(50.0, 1.0, 1.0, 1.0, 18.0, 1.0)
+
+
+class TestPoolBound:
+    @pytest.mark.parametrize("jobs, cpus, grid, workers", [
+        (1000, 4, SweepGrid(1.0, 5.0, 1.0, 1.0, 4.0, 1.0), [4]),
+        (8, 64, SweepGrid(20.0, 21.0, 1.0, 5.0, 5.0, 1.0), [2]),
+        (3, 64, SweepGrid(20.0, 25.0, 1.0, 5.0, 8.0, 1.0), [3]),
+        (8, None, SweepGrid(20.0, 25.0, 1.0, 5.0, 8.0, 1.0), []),
+        (8, 4, SweepGrid(30.0, 30.0, 1.0, 5.0, 5.0, 1.0), []),
+    ])
+    def test_workers_bounded_by_cpus_and_cells(self, bundle, monkeypatch, jobs, cpus, grid, workers):
+        # the package re-exports the function under the module's name
+        sweep_mod = importlib.import_module("liftwing.sweep")
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and maps serially: no process starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        result = sweep(bundle, grid, jobs=jobs)
+        assert started == workers
+        assert result == sweep(bundle, grid)
 
 
 class TestDefaultSweep:
