@@ -5,6 +5,7 @@ from .aero import Airframe, Environment, LinearAeroModel, aero_force, drag_coeff
 from .config import RunConfig, config_from_dict, config_to_dict, default_config, load_config, save_config
 from .errors import (
     AlphaNotOnGrid,
+    BadArgument,
     ConfigError,
     DegenerateDesign,
     DegenerateVariance,

@@ -14,10 +14,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import RunConfig, SURROGATE_BASIS, default_config, load_config
 from .errors import (
+    BadArgument,
     ConfigError,
     DegenerateDesign,
     DegenerateVariance,
@@ -51,7 +53,7 @@ _INFEASIBLE_ERRORS = (
     OutOfAeroDomain, OutOfSurrogateDomain, OutOfEscDomain,
 )
 _BAD_INPUT_ERRORS = (
-    ConfigError, ParseError, UnknownUnit, DegenerateDesign, RankDeficient,
+    BadArgument, ConfigError, ParseError, UnknownUnit, DegenerateDesign, RankDeficient,
     DegenerateVariance,
 )
 
@@ -86,6 +88,15 @@ def _emit_point(point: TrimPoint, fmt: str) -> str:
     return "".join(f"{name:<{width}}  {value:.6f}\n" for name, value in doc.items())
 
 
+@contextmanager
+def _flag(name: str):
+    """Report the library's range check on a flag's value as bad input (exit 2)."""
+    try:
+        yield
+    except ValueError as err:
+        raise BadArgument(f"{name}: {err}") from err
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get("LIFTWING_CONFIG")
     cfg = load_config(path) if path else default_config()
@@ -94,7 +105,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--capacity-mah must be positive")
         cfg = dataclasses.replace(cfg, battery=Battery(capacity=args.capacity_mah * 3.6))
     if getattr(args, "gamma_config", None) is not None:
-        cfg = dataclasses.replace(cfg, mounting_angle=args.gamma_config)
+        with _flag("--gamma"):
+            cfg = dataclasses.replace(cfg, mounting_angle=args.gamma_config)
     return cfg
 
 
@@ -107,11 +119,12 @@ def cmd_trim(cfg: RunConfig, args: argparse.Namespace) -> int:
             apply_tilt_loss=b.apply_tilt_loss,
         )
     else:
-        point = trim_at_speed(
-            b.airframe, b.environment, b.aero, b.thrust_surrogate,
-            b.torque_surrogate, b.esc, b.battery, args.gamma, args.speed,
-            apply_tilt_loss=b.apply_tilt_loss,
-        )
+        with _flag("--gamma"):
+            point = trim_at_speed(
+                b.airframe, b.environment, b.aero, b.thrust_surrogate,
+                b.torque_surrogate, b.esc, b.battery, args.gamma, args.speed,
+                apply_tilt_loss=b.apply_tilt_loss,
+            )
     sys.stdout.write(_emit_point(point, args.format))
     if point.theta == 0.0 and point.airspeed == 0.0:
         sys.stderr.write("hover-degenerate: gamma = alpha leaves no cruise trim\n")
@@ -131,15 +144,26 @@ def cmd_hover(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A failed write leaves ``path`` as it was, never a partial file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     b = cfg.bundle()
     result = sweep(b, cfg.grid, jobs=args.jobs)
     if args.margin is not None:
-        result = apply_alpha_cap(result, cfg.airframe.stall_alpha, args.margin)
+        with _flag("--margin"):
+            result = apply_alpha_cap(result, cfg.airframe.stall_alpha, args.margin)
 
     out = Path(args.out if args.out is not None else "out")
     try:

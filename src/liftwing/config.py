@@ -172,7 +172,9 @@ def default_config(endpoint_convention: str = "exclude-zero") -> RunConfig:
 
 
 def _require(mapping: dict, allowed: tuple[str, ...], where: str) -> dict:
-    """Reject unknown and missing keys; returns the mapping."""
+    """Reject a non-object and unknown and missing keys; returns the mapping."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -209,6 +211,8 @@ def _pair(value, where: str) -> tuple[float, float]:
 
 def _surrogate(doc: dict, where: str) -> PolySurrogate:
     _require(doc, ("terms", "vp_domain_m_s", "rpm_domain", "output_unit"), where)
+    if not isinstance(doc["terms"], (list, tuple)):
+        raise ConfigError(f"{where}.terms must be a list")
     terms = []
     for k, term in enumerate(doc["terms"]):
         if not isinstance(term, (list, tuple)) or len(term) != 3:

@@ -71,3 +71,7 @@ class ParseError(LiftwingError):
 
 class ConfigError(LiftwingError):
     """Configuration document failed validation."""
+
+
+class BadArgument(LiftwingError):
+    """A command-line value outside the range the model accepts."""

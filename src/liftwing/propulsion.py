@@ -57,13 +57,22 @@ class PolySurrogate:
                 f"N={rpm} RPM outside fit range {list(self.rpm_domain)}"
             )
 
+    # Plain left-to-right float adds: builtin sum() compensates rounding from
+    # Python 3.12 on, and the sweep's column kernel repeats this order.
     def evaluate(self, rpm: float, vp: float) -> float:
         """Raw polynomial value, no domain check."""
-        return sum(c * vp**i * rpm**j for i, j, c in self.terms)
+        total = 0.0
+        for i, j, c in self.terms:
+            total += c * vp**i * rpm**j
+        return total
 
     def d_drpm(self, rpm: float, vp: float) -> float:
         """Analytic partial derivative with respect to N."""
-        return sum(c * vp**i * j * rpm ** (j - 1) for i, j, c in self.terms if j > 0)
+        total = 0.0
+        for i, j, c in self.terms:
+            if j > 0:
+                total += c * vp**i * j * rpm ** (j - 1)
+        return total
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """Exhaustive (gamma, alpha) sweep maximizing range, with feasibility masking.
 
-Every grid cell is trimmed independently; infeasible cells are kept with a
-typed reason rather than dropped, so the feasibility boundary stays
-inspectable. The argmax respects the stall safety cap
-alpha <= stall_alpha - safety_margin backed into the airframe.
+Every grid cell is trimmed; infeasible cells are kept with a typed reason
+rather than dropped, so the feasibility boundary stays inspectable. The
+argmax respects the stall safety cap alpha <= stall_alpha - safety_margin
+backed into the airframe.
+
+The sweep runs solve_trim's chain on numpy columns over all cells at once,
+with one batched eigenvalue solve for rotor speed, and keeps the outcome as
+columns. Each step repeats solve_trim's arithmetic operation for operation,
+so every value is bit-identical to a per-cell solve_trim: trigonometry comes
+from ``math`` and integer powers >= 2 from Python's float ``**`` (numpy's
+differ from libm in the last bit), and sums run in the same order.
 """
 
 from __future__ import annotations
@@ -12,21 +19,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+
+import numpy as np
 
 from .aero import Airframe, Environment, LinearAeroModel
-from .errors import (
-    AlphaNotOnGrid,
-    EmptyFeasibleSet,
-    HoverDegenerate,
-    Infeasible,
-    OutOfAeroDomain,
-    OutOfEscDomain,
-    OutOfSurrogateDomain,
-)
+from .errors import AlphaNotOnGrid, EmptyFeasibleSet
 from .propulsion import EscCurrentModel, PolySurrogate
-from .trim import Battery, TrimPoint, solve_trim
+from .trim import Battery, TrimPoint, _thrust_factor, solve_trim
 
 STATUS_OK = "ok"
 STATUS_HOVER = "hover-degenerate"
@@ -34,6 +35,17 @@ STATUS_AERO = "aero-infeasible"
 STATUS_RPM = "rpm-infeasible"
 STATUS_ESC = "esc-domain"
 STATUS_SURROGATE = "surrogate-domain"
+
+# SweepColumns.status holds indices into this tuple
+STATUSES = (STATUS_OK, STATUS_HOVER, STATUS_AERO, STATUS_RPM, STATUS_SURROGATE, STATUS_ESC)
+_OK, _HOVER, _AERO, _RPM, _SURROGATE, _ESC = range(len(STATUSES))
+
+# SweepColumns.values columns: the TrimPoint fields after gamma and alpha
+VALUE_FIELDS = tuple(f.name for f in fields(TrimPoint))[2:]
+_RANGE = VALUE_FIELDS.index("range")
+
+# Largest grid a SweepGrid admits; the 0.1 deg default-bounds grid has ~84k cells.
+MAX_GRID_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -57,20 +69,26 @@ class ModelBundle:
         )
 
 
-def _nodes(lo: float, hi: float, step: float) -> list[float]:
-    """Axis nodes lo, lo + step, ... that never pass hi.
+def _count(lo: float, hi: float, step: float) -> int:
+    """Number of axis nodes lo, lo + step, ... that never pass hi.
 
     A partial last step adds no node. The 1e-9 slack keeps the last node of a
-    span that is a whole number of steps up to rounding, and min() stops that
-    node from landing an ulp past hi.
+    span that is a whole number of steps up to rounding.
     """
-    count = math.floor((hi - lo) / step + 1e-9) + 1
-    return [min(lo + k * step, hi) for k in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_CELLS:  # also NaN and inf, which floor() rejects
+        raise ValueError(f"grid axis has more than {MAX_GRID_CELLS} nodes")
+    return math.floor(steps) + 1
+
+
+def _nodes(lo: float, hi: float, step: float) -> list[float]:
+    """The axis nodes; min() stops the last one landing an ulp past hi."""
+    return [min(lo + k * step, hi) for k in range(_count(lo, hi, step))]
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Rectangular (gamma, alpha) grid in degrees."""
+    """Rectangular (gamma, alpha) grid in degrees, at most MAX_GRID_CELLS cells."""
 
     gamma_min: float = 1.0
     gamma_max: float = 50.0
@@ -84,6 +102,9 @@ class SweepGrid:
             raise ValueError("grid steps must be positive")
         if self.gamma_min > self.gamma_max or self.alpha_min > self.alpha_max:
             raise ValueError("grid min must not exceed max")
+        if self.cell_count() > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid has {self.cell_count()} cells, more than {MAX_GRID_CELLS}")
 
     def gammas(self) -> list[float]:
         return _nodes(self.gamma_min, self.gamma_max, self.gamma_step)
@@ -92,7 +113,8 @@ class SweepGrid:
         return _nodes(self.alpha_min, self.alpha_max, self.alpha_step)
 
     def cell_count(self) -> int:
-        return len(self.gammas()) * len(self.alphas())
+        return (_count(self.gamma_min, self.gamma_max, self.gamma_step)
+                * _count(self.alpha_min, self.alpha_max, self.alpha_step))
 
 
 @dataclass(frozen=True)
@@ -109,22 +131,64 @@ class SweepCell:
         return self.status == STATUS_OK
 
 
+@dataclass(frozen=True, eq=False)
+class SweepColumns:
+    """Per-cell outcomes as read-only columns, row-major (gamma outer, alpha inner).
+
+    ``status`` indexes STATUSES; row k of ``values`` holds the VALUE_FIELDS of
+    cell k's TrimPoint, NaN where the cell is not ok.
+    """
+
+    gamma: np.ndarray
+    alpha: np.ndarray
+    status: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.gamma, self.alpha, self.status, self.values):
+            column.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepColumns):
+            return NotImplemented
+        return (np.array_equal(self.gamma, other.gamma)
+                and np.array_equal(self.alpha, other.alpha)
+                and np.array_equal(self.status, other.status)
+                and np.array_equal(self.values, other.values, equal_nan=True))
+
+    def cell(self, k: int) -> SweepCell:
+        gamma, alpha = float(self.gamma[k]), float(self.alpha[k])
+        status = STATUSES[self.status[k]]
+        if status != STATUS_OK:
+            return SweepCell(gamma, alpha, status, None)
+        return SweepCell(gamma, alpha, status,
+                         TrimPoint(gamma, alpha, *self.values[k].tolist()))
+
+    @cached_property
+    def cells(self) -> tuple[SweepCell, ...]:
+        return tuple(self.cell(k) for k in range(len(self.status)))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """All cells (row-major: gamma outer, alpha inner) plus the capped argmax."""
+    """All cells as columns, plus the capped argmax."""
 
     grid: SweepGrid
-    cells: tuple[SweepCell, ...]
+    columns: SweepColumns
     safety_alpha_cap: float
     argmax: SweepCell
 
+    @property
+    def cells(self) -> tuple[SweepCell, ...]:
+        """Every cell as a SweepCell; built on first use, shared by apply_alpha_cap."""
+        return self.columns.cells
+
     def cell_at(self, gamma: float, alpha: float) -> SweepCell:
-        gs, als = self.grid.gammas(), self.grid.alphas()
-        gi = _index_of(gs, gamma)
-        ai = _index_of(als, alpha)
+        gi = _index_of(self.grid.gammas(), gamma)
+        ai = _index_of(self.grid.alphas(), alpha)
         if gi is None or ai is None:
             raise AlphaNotOnGrid(f"({gamma}, {alpha}) deg is not a grid node")
-        return self.cells[gi * len(als) + ai]
+        return self.columns.cell(gi * len(self.grid.alphas()) + ai)
 
 
 def _index_of(axis: list[float], value: float) -> int | None:
@@ -134,58 +198,174 @@ def _index_of(axis: list[float], value: float) -> int | None:
     return None
 
 
-def _evaluate_cell(bundle: ModelBundle, pair: tuple[float, float]) -> SweepCell:
-    gamma, alpha = pair
-    try:
-        point = bundle.solve(gamma, alpha)
-    except HoverDegenerate:
-        return SweepCell(gamma, alpha, STATUS_HOVER, None)
-    except (OutOfAeroDomain, Infeasible) as err:
-        if isinstance(err, Infeasible) and err.stage == "rpm":
-            return SweepCell(gamma, alpha, STATUS_RPM, None)
-        return SweepCell(gamma, alpha, STATUS_AERO, None)
-    except OutOfSurrogateDomain:
-        return SweepCell(gamma, alpha, STATUS_SURROGATE, None)
-    except OutOfEscDomain:
-        return SweepCell(gamma, alpha, STATUS_ESC, None)
-    if point.theta == 0.0:
-        # hover cells carry zero range; keep them typed, not as argmax fodder
-        return SweepCell(gamma, alpha, STATUS_HOVER, None)
-    return SweepCell(gamma, alpha, STATUS_OK, point)
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k elementwise, rounded as Python's float ** rounds it."""
+    if k < 2:
+        return x**k
+    return np.array([v**k for v in x.tolist()], dtype=float)
 
 
-def _select_argmax(cells: tuple[SweepCell, ...], alpha_cap: float) -> SweepCell:
-    best = None
-    for cell in cells:  # row-major order makes ties resolve to smallest gamma, then alpha
-        if not cell.feasible or cell.alpha > alpha_cap:
-            continue
-        if best is None or cell.point.range > best.point.range:
-            best = cell
-    if best is None:
+def _evaluate(surrogate: PolySurrogate, rpm: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """PolySurrogate.evaluate over columns."""
+    total = np.zeros_like(rpm)
+    for i, j, c in surrogate.terms:
+        total += c * _pow(vp, i) * _pow(rpm, j)
+    return total
+
+
+def _d_drpm(surrogate: PolySurrogate, rpm: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """PolySurrogate.d_drpm over columns."""
+    total = np.zeros_like(rpm)
+    for i, j, c in surrogate.terms:
+        if j > 0:
+            total += c * _pow(vp, i) * j * _pow(rpm, j - 1)
+    return total
+
+
+def _required_rpm(surrogate: PolySurrogate, thrust: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """required_rpm over columns whose thrust and V_p it accepts; NaN where it has no root.
+
+    numpy.roots builds a companion matrix from the coefficients of N with the
+    zero leading ones stripped, and appends a root 0 for each zero trailing
+    one. Rows are grouped by those two counts, each group's matrices stacked
+    for one eigvals call.
+    """
+    deg = max(j for _, j, _ in surrogate.terms)
+    coeffs = np.zeros((len(thrust), deg + 1))
+    for i, j, c in surrogate.terms:
+        coeffs[:, j] += c * _pow(vp, i)
+    coeffs[:, 0] -= thrust
+
+    nonzero = coeffs != 0.0
+    top = deg - np.argmax(nonzero[:, ::-1], axis=1)
+    low = np.argmax(nonzero, axis=1)
+    top[~nonzero.any(axis=1)] = -1  # an all-zero polynomial: numpy.roots finds no root
+    rpm = np.full(len(thrust), np.nan)
+    lo, hi = surrogate.rpm_domain
+    for t, b in sorted(set(zip(top.tolist(), low.tolist())) - {(-1, 0)}):
+        rows = np.flatnonzero((top == t) & (low == b))
+        size = t - b
+        if size:
+            p = coeffs[rows, b:t + 1][:, ::-1]
+            companion = np.zeros((len(rows), size, size))
+            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = np.linalg.eigvals(companion)
+        else:
+            roots = np.empty((len(rows), 0))
+        roots = np.concatenate([roots, np.zeros((len(rows), b))], axis=1)
+        row, col = np.nonzero((roots.imag == 0.0) & (lo <= roots.real) & (roots.real <= hi))
+        cand = roots.real[row, col]
+        rising = _d_drpm(surrogate, cand, vp[rows][row]) > 0.0
+        best = np.full(len(rows), np.inf)
+        np.minimum.at(best, row[rising], cand[rising])
+        rpm[rows] = np.where(best < np.inf, best, np.nan)
+    return rpm
+
+
+def _mark(status: np.ndarray, live: np.ndarray, bad: np.ndarray, code: int) -> None:
+    """Give the live cells in ``bad`` status ``code``; they leave the live set."""
+    hit = live & bad
+    status[hit] = code
+    live &= ~hit
+
+
+def _outside(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
+    return ~((domain[0] <= x) & (x <= domain[1]))
+
+
+def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
+    """solve_trim at every pair of the (gamma, alpha) columns: (status codes, value rows).
+
+    A cell leaves the live set at the stage where solve_trim raises for it,
+    checked in solve_trim's order; cells still live at the end are ok, or
+    hover-degenerate on the theta = 0 branch.
+    """
+    af, env, aero = bundle.airframe, bundle.environment, bundle.aero
+    thrust_model, torque_model, esc = bundle.thrust_surrogate, bundle.torque_surrogate, bundle.esc
+    kappa = _thrust_factor(af, bundle.apply_tilt_loss)
+    mg = af.mass * env.gravity
+    n = af.rotor_count
+    gamma, alpha = cells
+    status = np.full(len(gamma), _OK, dtype=np.int8)
+    live = np.ones(len(gamma), dtype=bool)
+
+    theta = gamma - alpha
+    hover = theta == 0.0
+    rad = [math.radians(t) for t in theta.tolist()]
+    tan_t = np.array([math.tan(r) for r in rad])
+    cos_t = np.array([math.cos(r) for r in rad])
+    sin_t = np.array([math.sin(r) for r in rad])
+    cl = aero.lift_slope * alpha + aero.lift_intercept
+    cd = aero.drag_slope * alpha + aero.drag_intercept
+    den = cd + cl * tan_t
+    aero_bad = _outside(alpha, (aero.alpha_min, aero.alpha_max)) | (theta < 0.0) | (den <= 0.0)
+    if af.reference_area == 0.0:
+        aero_bad[:] = True
+    _mark(status, live, aero_bad & ~hover, _AERO)
+
+    # dead cells may divide by zero or carry NaN from here on; they stay dead
+    with np.errstate(all="ignore"):
+        airspeed = np.sqrt(mg * tan_t / (0.5 * env.air_density * af.reference_area * den))
+        q_s = 0.5 * env.air_density * airspeed * airspeed * af.reference_area
+        thrust = (mg - q_s * cl) / (n * kappa * cos_t)
+        airspeed[hover] = 0.0
+        thrust[hover] = mg / (n * kappa)
+        _mark(status, live, ~((thrust > 0.0) & (thrust < math.inf)), _RPM)
+        vp = airspeed * sin_t
+        _mark(status, live, _outside(vp, thrust_model.vp_domain), _SURROGATE)
+
+        rpm = np.full(len(gamma), np.nan)
+        rpm[live] = _required_rpm(thrust_model, thrust[live], vp[live])
+        _mark(status, live, np.isnan(rpm), _RPM)
+        _mark(status, live, _outside(vp, torque_model.vp_domain)
+              | _outside(rpm, torque_model.rpm_domain), _SURROGATE)
+        torque_nm = np.full(len(gamma), np.nan)
+        torque_nm[live] = _evaluate(torque_model, rpm[live], vp[live])
+        _mark(status, live, _outside(torque_nm, esc.torque_domain), _ESC)
+        _mark(status, live, hover, _HOVER)  # zero range: typed, never the argmax
+
+        current = esc.quad * torque_nm * torque_nm + esc.lin * torque_nm + esc.const
+        total = n * current
+        endurance = bundle.battery.capacity / total
+        values = np.column_stack([theta, airspeed, thrust, rpm, torque_nm, current,
+                                  total, endurance, airspeed * endurance])
+    values[status != _OK] = np.nan
+    return status, values
+
+
+def _select_argmax(columns: SweepColumns, alpha_cap: float) -> SweepCell:
+    candidates = np.flatnonzero((columns.status == _OK) & (columns.alpha <= alpha_cap))
+    if not len(candidates):
         raise EmptyFeasibleSet(f"no feasible cell with alpha <= {alpha_cap} deg")
-    return best
+    # argmax takes the first maximum: in row-major order, smallest gamma, then alpha
+    best = candidates[np.argmax(columns.values[candidates, _RANGE])]
+    return columns.cell(int(best))
 
 
 def sweep(bundle: ModelBundle, grid: SweepGrid, jobs: int = 1) -> SweepResult:
     """Evaluate every cell exactly once and locate the capped-range argmax.
 
-    Cell evaluations are independent pure computations; with jobs > 1 they run
-    in a process pool of at most min(jobs, CPU count, cell count) workers.
-    Results are assembled by index, so the output is bit-identical regardless
-    of execution order or worker count.
+    With jobs > 1 the cells are cut into one contiguous slice per worker of a
+    process pool of at most min(jobs, CPU count, cell count) workers, each
+    running the same column solve. Every cell's arithmetic is independent of
+    its slice, so the output is bit-identical for any worker count.
     """
-    pairs = [(g, a) for g in grid.gammas() for a in grid.alphas()]
-    worker = partial(_evaluate_cell, bundle)
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    gammas, alphas = np.array(grid.gammas()), np.array(grid.alphas())
+    gamma, alpha = np.repeat(gammas, len(alphas)), np.tile(alphas, len(gammas))
+    workers = min(jobs, os.cpu_count() or 1, len(gamma))
     if workers > 1:
-        chunk = max(1, len(pairs) // (4 * workers))
+        slices = zip(np.array_split(gamma, workers), np.array_split(alpha, workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(worker, pairs, chunksize=chunk))
+            parts = list(pool.map(partial(_solve_cells, bundle), slices))
+        status = np.concatenate([s for s, _ in parts])
+        values = np.concatenate([v for _, v in parts])
     else:
-        cells = tuple(worker(p) for p in pairs)
+        status, values = _solve_cells(bundle, (gamma, alpha))
 
+    columns = SweepColumns(gamma, alpha, status, values)
     cap = bundle.airframe.stall_alpha - bundle.airframe.safety_margin
-    return SweepResult(grid, cells, cap, _select_argmax(cells, cap))
+    return SweepResult(grid, columns, cap, _select_argmax(columns, cap))
 
 
 def apply_alpha_cap(result: SweepResult, stall: float, margin: float) -> SweepResult:
@@ -197,7 +377,18 @@ def apply_alpha_cap(result: SweepResult, stall: float, margin: float) -> SweepRe
     if not 0.0 <= margin <= stall:
         raise ValueError("margin must satisfy 0 <= margin <= stall")
     cap = stall - margin
-    return SweepResult(result.grid, result.cells, cap, _select_argmax(result.cells, cap))
+    return SweepResult(result.grid, result.columns, cap, _select_argmax(result.columns, cap))
+
+
+def _curve(result: SweepResult, alpha: float):
+    """(gamma, status code, range) of each cell on the fixed-alpha line, by gamma."""
+    ai = _index_of(result.grid.alphas(), alpha)
+    if ai is None:
+        raise AlphaNotOnGrid(f"alpha={alpha} deg is not on the grid")
+    cols = result.columns
+    line = slice(ai, None, len(result.grid.alphas()))
+    return zip(cols.gamma[line].tolist(), cols.status[line].tolist(),
+               cols.values[line, _RANGE].tolist())
 
 
 def curve_extract(result: SweepResult, alpha: float) -> list[tuple[float, float | None]]:
@@ -205,15 +396,7 @@ def curve_extract(result: SweepResult, alpha: float) -> list[tuple[float, float 
 
     Infeasible cells appear with None so the curve keeps its gaps.
     """
-    als = result.grid.alphas()
-    ai = _index_of(als, alpha)
-    if ai is None:
-        raise AlphaNotOnGrid(f"alpha={alpha} deg is not on the grid")
-    n_a = len(als)
-    return [
-        (cell.gamma, cell.point.range if cell.feasible else None)
-        for cell in result.cells[ai::n_a]
-    ]
+    return [(g, r if s == _OK else None) for g, s, r in _curve(result, alpha)]
 
 
 def _fmt(x: float) -> str:
@@ -224,37 +407,32 @@ CELL_CSV_HEADER = (
     "gamma_deg,alpha_deg,theta_deg,airspeed_m_s,rpm,"
     "torque_Nm,current_A,endurance_s,range_m,status"
 )
+_CSV_VALUES = [VALUE_FIELDS.index(f) for f in (
+    "theta", "airspeed", "rpm", "torque_per_rotor", "total_current", "endurance", "range")]
 
 
 def cells_to_csv(result: SweepResult) -> str:
     """One row per cell; infeasible cells keep their coordinates and reason."""
-    lines = [CELL_CSV_HEADER]
-    for cell in result.cells:
-        if cell.feasible:
-            p = cell.point
-            lines.append(",".join([
-                _fmt(cell.gamma), _fmt(cell.alpha), _fmt(p.theta), _fmt(p.airspeed),
-                _fmt(p.rpm), _fmt(p.torque_per_rotor), _fmt(p.total_current),
-                _fmt(p.endurance), _fmt(p.range), cell.status,
-            ]))
-        else:
-            lines.append(",".join([
-                _fmt(cell.gamma), _fmt(cell.alpha), "", "", "", "", "", "", "",
-                cell.status,
-            ]))
-    return "\n".join(lines) + "\n"
+    cols = result.columns
+    alphas = [_fmt(a) for a in result.grid.alphas()]
+    n = len(alphas)
+    # one chunk per gamma keeps the transient Python objects to one grid row
+    chunks = [CELL_CSV_HEADER + "\n"]
+    for k, g in enumerate(map(_fmt, result.grid.gammas())):
+        line = slice(k * n, (k + 1) * n)
+        chunks.append("".join(
+            f"{g},{a},{','.join(map(repr, row))},{STATUS_OK}\n" if s == _OK
+            else f"{g},{a},,,,,,,,{STATUSES[s]}\n"
+            for a, s, row in zip(alphas, cols.status[line].tolist(),
+                                 cols.values[line, _CSV_VALUES].tolist())))
+    return "".join(chunks)
 
 
 def curve_to_csv(result: SweepResult, alpha: float) -> str:
     """Fixed-alpha curve as gamma_deg,range_m,status rows."""
-    als = result.grid.alphas()
-    ai = _index_of(als, alpha)
-    if ai is None:
-        raise AlphaNotOnGrid(f"alpha={alpha} deg is not on the grid")
     lines = ["gamma_deg,range_m,status"]
-    for cell in result.cells[ai:: len(als)]:
-        rng = _fmt(cell.point.range) if cell.feasible else ""
-        lines.append(f"{_fmt(cell.gamma)},{rng},{cell.status}")
+    for g, s, r in _curve(result, alpha):
+        lines.append(f"{_fmt(g)},{_fmt(r) if s == _OK else ''},{STATUSES[s]}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 normal equations. These deliberately avoid the library's own solution paths
 so that agreement between the two routes actually means something."""
 
+import json
 import math
 import random
 
@@ -125,3 +126,62 @@ def wing_residuals(point, airframe, env, aero):
         lift = q_s * (aero.lift_slope * point.alpha + aero.lift_intercept)
         drag = q_s * (aero.drag_slope * point.alpha + aero.drag_intercept)
     return (n_t * math.cos(th) + lift - mg, n_t * math.sin(th) - drag)
+
+
+def reference_sweep(bundle, grid):
+    """The sweep as one scalar solve_trim per cell, written out as the CLI does.
+
+    This is the library's scalar path, kept as the reference for the column
+    kernel in liftwing.sweep. Returns (cells, files): cells is the row-major
+    list of (status, TrimPoint or None); files maps cells.csv, each
+    curve_alpha_<a>.csv and summary.json to its text. summary.json is absent
+    when no cell under the alpha cap is feasible.
+    """
+    from liftwing.errors import (HoverDegenerate, Infeasible, OutOfAeroDomain,
+                                 OutOfEscDomain, OutOfSurrogateDomain)
+
+    def solve(gamma, alpha):
+        try:
+            point = bundle.solve(gamma, alpha)
+        except HoverDegenerate:
+            return "hover-degenerate", None
+        except (OutOfAeroDomain, Infeasible) as err:
+            rpm = isinstance(err, Infeasible) and err.stage == "rpm"
+            return ("rpm-infeasible" if rpm else "aero-infeasible"), None
+        except OutOfSurrogateDomain:
+            return "surrogate-domain", None
+        except OutOfEscDomain:
+            return "esc-domain", None
+        if point.theta == 0.0:
+            return "hover-degenerate", None
+        return "ok", point
+
+    gammas, alphas = grid.gammas(), grid.alphas()
+    cells = [solve(g, a) for g in gammas for a in alphas]
+    coords = [(g, a) for g in gammas for a in alphas]
+
+    rows = ["gamma_deg,alpha_deg,theta_deg,airspeed_m_s,rpm,"
+            "torque_Nm,current_A,endurance_s,range_m,status"]
+    for (g, a), (status, p) in zip(coords, cells):
+        values = ([p.theta, p.airspeed, p.rpm, p.torque_per_rotor, p.total_current,
+                   p.endurance, p.range] if p else [])
+        text = [repr(v) for v in values] or [""] * 7
+        rows.append(",".join([repr(g), repr(a), *text, status]))
+    files = {"cells.csv": "\n".join(rows) + "\n"}
+    for k, a in enumerate(alphas):
+        lines = ["gamma_deg,range_m,status"]
+        for g, (status, p) in zip(gammas, cells[k::len(alphas)]):
+            lines.append(f"{g!r},{repr(p.range) if p else ''},{status}")
+        files[f"curve_alpha_{a:g}.csv"] = "\n".join(lines) + "\n"
+
+    cap = bundle.airframe.stall_alpha - bundle.airframe.safety_margin
+    best = None
+    for (g, a), (status, p) in zip(coords, cells):
+        if p and a <= cap and (best is None or p.range > best.range):
+            best = p
+    if best is not None:
+        files["summary.json"] = json.dumps({
+            "gamma_deg": best.gamma, "alpha_deg": best.alpha, "theta_deg": best.theta,
+            "airspeed_m_s": best.airspeed, "range_m": best.range,
+        }, indent=2) + "\n"
+    return cells, files

@@ -307,3 +307,90 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     where, loaded = proc.stdout.split()
     assert Path(where).resolve() == Path(liftwing.__file__).resolve()
     assert loaded == "False"
+
+
+class TestWrongJsonTypes:
+    @pytest.mark.parametrize("section", [
+        "airframe", "environment", "aero", "thrust_surrogate", "torque_surrogate",
+        "esc", "battery", "grid", "flags",
+    ])
+    @pytest.mark.parametrize("value", [3, None, 2.5, True])
+    def test_section_not_an_object(self, cfg, section, value):
+        doc = config_to_dict(cfg)
+        doc[section] = value
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [5, None, 1.5])
+    def test_terms_not_a_list(self, cfg, value):
+        doc = config_to_dict(cfg)
+        doc["thrust_surrogate"]["terms"] = value
+        with pytest.raises(ConfigError, match="terms must be a list"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, key", [("airframe", None), ("torque_surrogate", "terms")])
+    def test_cli_exits_2_without_traceback(self, cfg, tmp_path, capsys, section, key):
+        doc = config_to_dict(cfg)
+        if key is None:
+            doc[section] = 3
+        else:
+            doc[section][key] = 5
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "hover"]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("config error:")
+        assert "Traceback" not in stderr
+
+
+class TestCliOutOfRange:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--margin", "-1"],
+        ["trim", "--gamma", "95", "--speed", "15"],
+        ["compare", "--gamma", "95"],
+    ])
+    def test_exits_2_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # sweep writes nothing, but keep it out of the repo
+        assert main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert "BadArgument" in stderr or stderr.startswith("config error:")
+        assert "Traceback" not in stderr
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        from liftwing import cli
+        target = tmp_path / "cells.csv"
+        target.write_text("earlier\n")
+
+        class HalfWriter:
+            """A text file that writes half of what it is given, then fails."""
+
+            def __init__(self, path, mode, newline=None):
+                self.fh = open(path, mode, newline=newline)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_text(target, "new contents\n" * 100)
+        assert target.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv"]
+
+    def test_write_replaces_the_file(self, tmp_path):
+        from liftwing import cli
+        target = tmp_path / "summary.json"
+        target.write_text("old")
+        cli._write_text(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]

@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_sweep
 
 from liftwing import (
     AlphaNotOnGrid,
@@ -257,3 +261,143 @@ class TestCsvSchema:
         lines = text.strip().split("\n")
         assert lines[0] == "gamma_deg,range_m,status"
         assert len(lines) == 51
+
+
+def _cli_files(result):
+    """The sweep's output files as cmd_sweep writes them, name -> text."""
+    files = {"cells.csv": cells_to_csv(result)}
+    for alpha in result.grid.alphas():
+        files[f"curve_alpha_{alpha:g}.csv"] = curve_to_csv(result, alpha)
+    files["summary.json"] = summary_to_json(result)
+    return files
+
+
+def _assert_matches_reference(bundle, grid):
+    ref_cells, ref_files = reference_sweep(bundle, grid)
+    if "summary.json" not in ref_files:
+        with pytest.raises(EmptyFeasibleSet):
+            sweep(bundle, grid)
+        return
+    result = sweep(bundle, grid)
+    assert [c.status for c in result.cells] == [s for s, _ in ref_cells]
+    assert [c.point for c in result.cells] == [p for _, p in ref_cells]
+    assert _cli_files(result) == ref_files
+
+
+def _narrow_rpm(b):
+    return dataclasses.replace(
+        b, airframe=dataclasses.replace(b.airframe, safety_margin=0.0),
+        thrust_surrogate=PolySurrogate(b.thrust_surrogate.terms, vp_domain=(0.0, 20.0),
+                                       rpm_domain=(2000.0, 4500.0)))
+
+
+def _tight_esc(b):
+    return dataclasses.replace(
+        b, airframe=dataclasses.replace(b.airframe, safety_margin=0.0),
+        esc=EscCurrentModel(73.05, 12.15, -0.511, torque_domain=(0.05, 0.21)))
+
+
+def _cubic(b):
+    # the N^3 coefficient is c * V_p: exactly 0 at V_p = 0 (the hover cells),
+    # where numpy.roots strips it and solves a quadratic
+    return dataclasses.replace(b, thrust_surrogate=PolySurrogate(
+        b.thrust_surrogate.terms + ((1, 3, -1e-13),), vp_domain=(0.0, 20.0),
+        rpm_domain=(2000.0, 10000.0)))
+
+
+def _perturbed(b):
+    return dataclasses.replace(
+        b, airframe=dataclasses.replace(b.airframe, mass=2.13, reference_area=0.1207))
+
+
+DEFAULT_GRID = SweepGrid(1.0, 50.0, 1.0, 1.0, 18.0, 1.0)
+
+
+class TestKernelMatchesScalarReference:
+    """The column kernel against one solve_trim per cell: the same bytes."""
+
+    @pytest.mark.parametrize("variant, grid", [
+        (lambda b: b, DEFAULT_GRID),
+        (_narrow_rpm, DEFAULT_GRID),
+        (_narrow_rpm, SweepGrid(35.0, 36.0, 1.0, 10.0, 16.0, 1.0)),
+        (_tight_esc, DEFAULT_GRID),
+        (_tight_esc, SweepGrid(30.0, 40.0, 1.0, 10.0, 18.0, 1.0)),
+        (lambda b: dataclasses.replace(b, apply_tilt_loss=True), DEFAULT_GRID),
+        (_cubic, DEFAULT_GRID),
+        (_perturbed, SweepGrid(1.0, 50.0, 0.25, 1.0, 18.0, 0.25)),
+    ], ids=["default", "rpm-infeasible", "rpm-infeasible-small", "esc-domain",
+            "esc-domain-small", "tilt-loss", "cubic-thrust", "perturbed-0.25deg"])
+    def test_outputs_byte_identical(self, bundle, variant, grid):
+        _assert_matches_reference(variant(bundle), grid)
+
+    def test_every_status_is_exercised(self, bundle):
+        seen = set()
+        for variant in (lambda b: b, _narrow_rpm, _tight_esc, _cubic):
+            seen |= {s for s, _ in reference_sweep(variant(bundle), DEFAULT_GRID)[0]}
+        assert seen == {STATUS_OK, STATUS_HOVER, STATUS_AERO, STATUS_RPM,
+                        STATUS_ESC, STATUS_SURROGATE}
+
+    @settings(max_examples=25, deadline=None)
+    @given(mass=st.floats(1.0, 3.0),
+           area=st.one_of(st.just(0.0), st.floats(0.02, 0.3)),
+           capacity=st.floats(1000.0, 40000.0))
+    def test_generated_airframes(self, bundle, mass, area, capacity):
+        b = dataclasses.replace(
+            bundle, airframe=dataclasses.replace(bundle.airframe, mass=mass,
+                                                 reference_area=area),
+            battery=Battery(capacity))
+        _assert_matches_reference(b, SweepGrid(1.0, 50.0, 1.5, 1.0, 18.0, 1.0))
+
+
+class TestLazyCells:
+    def test_cli_sweep_never_builds_cells(self, tmp_path, monkeypatch):
+        from liftwing.cli import main
+        sweep_mod = importlib.import_module("liftwing.sweep")
+
+        def refuse(self):
+            raise AssertionError("the CLI built the cell objects")
+
+        monkeypatch.setattr(sweep_mod.SweepColumns, "cells", property(refuse))
+        assert main(["sweep", "--out", str(tmp_path / "out")]) == 0
+
+    def test_cells_built_once_and_shared(self, bundle, cfg):
+        result = sweep(bundle, cfg.grid)
+        assert "cells" not in vars(result.columns)
+        first = result.cells
+        assert result.cells is first
+        assert apply_alpha_cap(result, 18.0, 3.0).cells is first
+
+
+class TestGridCap:
+    def test_tiny_step_rejected_before_nodes_exist(self, monkeypatch):
+        sweep_mod = importlib.import_module("liftwing.sweep")
+
+        def refuse(*args):
+            raise AssertionError("nodes were built")
+
+        monkeypatch.setattr(sweep_mod, "_nodes", refuse)
+        with pytest.raises(ValueError, match="more than"):
+            SweepGrid(1.0, 50.0, 1e-9, 1.0, 18.0, 1.0)
+
+    @pytest.mark.parametrize("grid", [
+        (1.0, 50.0, 0.01, 1.0, 18.0, 0.1),   # 4901 x 171 cells
+        (0.0, 1e308, 1e-300, 1.0, 18.0, 1.0),  # span / step overflows to inf
+    ])
+    def test_grid_over_cap_rejected(self, grid):
+        with pytest.raises(ValueError):
+            SweepGrid(*grid)
+
+    def test_tenth_degree_grid_fits(self):
+        assert SweepGrid(1.0, 50.0, 0.1, 1.0, 18.0, 0.1).cell_count() == 491 * 171
+
+    def test_config_over_cap_exits_2(self, cfg, tmp_path, capsys, monkeypatch):
+        from liftwing import config_to_dict
+        from liftwing.cli import main
+        # without the cap this grid would need 4.9e10 nodes: fail fast instead
+        monkeypatch.setattr(importlib.import_module("liftwing.sweep"), "_nodes", None)
+        doc = config_to_dict(cfg)
+        doc["grid"]["gamma_step_deg"] = 1e-9
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "sweep", "--out", str(tmp_path / "out")]) == 2
+        assert "more than" in capsys.readouterr().err
