@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -43,8 +44,12 @@ from .fitting import (
     fit_poly_surrogate,
     parse_propeller_table,
 )
-from .sweep import apply_alpha_cap, cells_to_csv, curve_to_csv, summary_to_json, sweep
-from .trim import Battery, TrimPoint, solve_trim, trim_at_speed, wingless_trim_at_speed
+# cells_to_csv, curve_to_csv and wingless_trim_at_speed are no longer called
+# here; they stay importable from liftwing.cli, where perfbench/spans.py wraps them.
+from .sweep import (CURVE_CSV_HEADER, apply_alpha_cap, cells_to_csv, complete_balances,
+                    csv_chunks, curve_to_csv, summary_to_json, sweep)
+from .trim import (Battery, TrimPoint, _complete, balance_at_speed, solve_trim, trim_at_speed,
+                   wingless_balance_at_speed, wingless_trim_at_speed)
 
 MAH_PER_S_PER_A = 1000.0 / 3600.0  # 1 A = 1000/3600 mAh/s
 
@@ -143,15 +148,17 @@ def cmd_hover(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+def _write_text(path: Path, chunks: str | Iterable[str]) -> None:
+    """Write the text, or its chunks in turn, to a temp file beside ``path``, then
+    rename it over ``path``.
 
     A failed write leaves ``path`` as it was, never a partial file.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
+            for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -168,9 +175,11 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = Path(args.out if args.out is not None else "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(out / "cells.csv", cells_to_csv(result))
-        for alpha in result.grid.alphas():
-            _write_text(out / f"curve_alpha_{alpha:g}.csv", curve_to_csv(result, alpha))
+        alphas = result.grid.alphas()
+        curves = [[CURVE_CSV_HEADER + "\n"] for _ in alphas]
+        _write_text(out / "cells.csv", csv_chunks(result, curves))
+        for alpha, curve in zip(alphas, curves):
+            _write_text(out / f"curve_alpha_{alpha:g}.csv", curve)
         _write_text(out / "summary.json", summary_to_json(result))
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")
@@ -293,30 +302,42 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the text "<error type>: <message>" of its typed failure."""
+    try:
+        return fn(*args)
+    except (LiftwingError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
 def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
-    """One comparison row per speed; infeasible sides are marked, not dropped."""
+    """One comparison row per speed; infeasible sides are marked, not dropped.
+
+    Each side's force balance is solved per speed. Every side that balances
+    then runs through the sweep's column propulsion chain in one call; a side
+    that fails there runs the scalar chain again for its error text.
+    """
     b = cfg.bundle()
-    rows = []
+    af, env, tilt = b.airframe, b.environment, b.apply_tilt_loss
+    sides = []  # wing, then wingless, per speed: a balance tuple or an error text
     for v in speeds:
+        sides.append(_attempt(balance_at_speed, af, env, b.aero, cfg.mounting_angle, v, tilt))
+        sides.append(_attempt(wingless_balance_at_speed, af, env, v, cfg.parasite_drag_area,
+                              tilt))
+    balanced = [k for k, side in enumerate(sides) if not isinstance(side, str)]
+    points = complete_balances(b, [sides[k] for k in balanced])
+    for k, point in zip(balanced, points):
+        sides[k] = point if point is not None else _attempt(
+            _complete, af, b.thrust_surrogate, b.torque_surrogate, b.esc, b.battery, *sides[k])
+
+    rows = []
+    for v, wing, bare in zip(speeds, sides[::2], sides[1::2]):
         row: dict = {"speed_m_s": v}
-        try:
-            wing = trim_at_speed(
-                b.airframe, b.environment, b.aero, b.thrust_surrogate,
-                b.torque_surrogate, b.esc, b.battery, cfg.mounting_angle, v,
-                apply_tilt_loss=b.apply_tilt_loss,
-            )
-            row["wing_current_A"] = wing.total_current
-        except (LiftwingError, ValueError) as err:
-            row["wing_error"] = f"{type(err).__name__}: {err}"
-        try:
-            bare = wingless_trim_at_speed(
-                b.airframe, b.environment, b.thrust_surrogate, b.torque_surrogate,
-                b.esc, b.battery, v, parasite_drag_area=cfg.parasite_drag_area,
-                apply_tilt_loss=b.apply_tilt_loss,
-            )
-            row["wingless_current_A"] = bare.total_current
-        except (LiftwingError, ValueError) as err:
-            row["wingless_error"] = f"{type(err).__name__}: {err}"
+        for name, side in (("wing", wing), ("wingless", bare)):
+            if isinstance(side, str):
+                row[f"{name}_error"] = side
+            else:
+                row[f"{name}_current_A"] = side.total_current
         if "wing_current_A" in row and "wingless_current_A" in row:
             iw, ib = row["wing_current_A"], row["wingless_current_A"]
             row["saving_percent"] = 100.0 * (ib - iw) / ib

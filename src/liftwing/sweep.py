@@ -10,7 +10,9 @@ with one batched eigenvalue solve for rotor speed, and keeps the outcome as
 columns. Each step repeats solve_trim's arithmetic operation for operation,
 so every value is bit-identical to a per-cell solve_trim: trigonometry comes
 from ``math`` and integer powers >= 2 from Python's float ``**`` (numpy's
-differ from libm in the last bit), and sums run in the same order.
+differ from libm in the last bit), and sums run in the same order. The
+propulsion half of that chain also completes compare's force balances
+(complete_balances), so both commands share one column chain.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -274,64 +277,100 @@ def _outside(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     return ~((domain[0] <= x) & (x <= domain[1]))
 
 
+def _trig(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """math.tan, math.cos and math.sin of each theta (deg), once per distinct theta."""
+    distinct, inverse = np.unique(theta, return_inverse=True)
+    rad = [math.radians(t) for t in distinct.tolist()]
+    return tuple(np.array([f(r) for r in rad])[inverse] for f in (math.tan, math.cos, math.sin))
+
+
+def _propulsion(bundle: ModelBundle, theta: np.ndarray, sin_t: np.ndarray,
+                airspeed: np.ndarray, thrust: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """trim._complete over columns of force balances: rows of VALUE_FIELDS.
+
+    ``sin_t`` is math.sin of each theta in radians. Cells whose status is ok
+    on entry run the chain; each gets the status code of the check where
+    _complete raises for it, in _complete's order: thrust, the V_p domain,
+    rotor speed, the torque surrogate's domain, the ESC domain. Rows of cells
+    not ok on return hold no meaning.
+    """
+    thrust_model, torque_model, esc = bundle.thrust_surrogate, bundle.torque_surrogate, bundle.esc
+    n = bundle.airframe.rotor_count
+    live = status == _OK
+    # dead cells may divide by zero or carry NaN from here on; they stay dead
+    with np.errstate(all="ignore"):
+        _mark(status, live, ~((thrust > 0.0) & (thrust < math.inf)), _RPM)
+        vp = airspeed * sin_t
+        _mark(status, live, _outside(vp, thrust_model.vp_domain), _SURROGATE)
+
+        rpm = np.full(len(thrust), np.nan)
+        rpm[live] = _required_rpm(thrust_model, thrust[live], vp[live])
+        _mark(status, live, np.isnan(rpm), _RPM)
+        _mark(status, live, _outside(vp, torque_model.vp_domain)
+              | _outside(rpm, torque_model.rpm_domain), _SURROGATE)
+        torque_nm = np.full(len(thrust), np.nan)
+        torque_nm[live] = _evaluate(torque_model, rpm[live], vp[live])
+        _mark(status, live, _outside(torque_nm, esc.torque_domain), _ESC)
+
+        current = esc.quad * torque_nm * torque_nm + esc.lin * torque_nm + esc.const
+        total = n * current
+        endurance = bundle.battery.capacity / total
+        return np.column_stack([theta, airspeed, thrust, rpm, torque_nm, current,
+                                total, endurance, airspeed * endurance])
+
+
 def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
     """solve_trim at every pair of the (gamma, alpha) columns: (status codes, value rows).
 
-    A cell leaves the live set at the stage where solve_trim raises for it,
-    checked in solve_trim's order; cells still live at the end are ok, or
-    hover-degenerate on the theta = 0 branch.
+    A cell takes the status of the stage where solve_trim raises for it,
+    checked in solve_trim's order: the force balance here, then the
+    propulsion chain. Cells that pass both are ok, or hover-degenerate on the
+    theta = 0 branch.
     """
     af, env, aero = bundle.airframe, bundle.environment, bundle.aero
-    thrust_model, torque_model, esc = bundle.thrust_surrogate, bundle.torque_surrogate, bundle.esc
     kappa = _thrust_factor(af, bundle.apply_tilt_loss)
     mg = af.mass * env.gravity
     n = af.rotor_count
     gamma, alpha = cells
     status = np.full(len(gamma), _OK, dtype=np.int8)
-    live = np.ones(len(gamma), dtype=bool)
 
     theta = gamma - alpha
     hover = theta == 0.0
-    rad = [math.radians(t) for t in theta.tolist()]
-    tan_t = np.array([math.tan(r) for r in rad])
-    cos_t = np.array([math.cos(r) for r in rad])
-    sin_t = np.array([math.sin(r) for r in rad])
+    tan_t, cos_t, sin_t = _trig(theta)
     cl = aero.lift_slope * alpha + aero.lift_intercept
     cd = aero.drag_slope * alpha + aero.drag_intercept
     den = cd + cl * tan_t
-    aero_bad = _outside(alpha, (aero.alpha_min, aero.alpha_max)) | (theta < 0.0) | (den <= 0.0)
-    if af.reference_area == 0.0:
-        aero_bad[:] = True
-    _mark(status, live, aero_bad & ~hover, _AERO)
-
-    # dead cells may divide by zero or carry NaN from here on; they stay dead
     with np.errstate(all="ignore"):
-        airspeed = np.sqrt(mg * tan_t / (0.5 * env.air_density * af.reference_area * den))
+        v_sq = mg * tan_t / (0.5 * env.air_density * af.reference_area * den)
+        aero_bad = (_outside(alpha, (aero.alpha_min, aero.alpha_max)) | (theta < 0.0)
+                    | (den <= 0.0) | ~(v_sq > 0.0))
+        if af.reference_area == 0.0:
+            aero_bad[:] = True
+        status[aero_bad & ~hover] = _AERO
+
+        airspeed = np.sqrt(v_sq)
         q_s = 0.5 * env.air_density * airspeed * airspeed * af.reference_area
         thrust = (mg - q_s * cl) / (n * kappa * cos_t)
-        airspeed[hover] = 0.0
-        thrust[hover] = mg / (n * kappa)
-        _mark(status, live, ~((thrust > 0.0) & (thrust < math.inf)), _RPM)
-        vp = airspeed * sin_t
-        _mark(status, live, _outside(vp, thrust_model.vp_domain), _SURROGATE)
-
-        rpm = np.full(len(gamma), np.nan)
-        rpm[live] = _required_rpm(thrust_model, thrust[live], vp[live])
-        _mark(status, live, np.isnan(rpm), _RPM)
-        _mark(status, live, _outside(vp, torque_model.vp_domain)
-              | _outside(rpm, torque_model.rpm_domain), _SURROGATE)
-        torque_nm = np.full(len(gamma), np.nan)
-        torque_nm[live] = _evaluate(torque_model, rpm[live], vp[live])
-        _mark(status, live, _outside(torque_nm, esc.torque_domain), _ESC)
-        _mark(status, live, hover, _HOVER)  # zero range: typed, never the argmax
-
-        current = esc.quad * torque_nm * torque_nm + esc.lin * torque_nm + esc.const
-        total = n * current
-        endurance = bundle.battery.capacity / total
-        values = np.column_stack([theta, airspeed, thrust, rpm, torque_nm, current,
-                                  total, endurance, airspeed * endurance])
+    airspeed[hover] = 0.0
+    thrust[hover] = mg / (n * kappa)
+    values = _propulsion(bundle, theta, sin_t, airspeed, thrust, status)
+    status[hover & (status == _OK)] = _HOVER  # zero range: typed, never the argmax
     values[status != _OK] = np.nan
     return status, values
+
+
+def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[TrimPoint | None]:
+    """trim._complete on each balance (gamma, alpha, theta, airspeed, thrust per rotor).
+
+    All balances run through the column chain in one call, with one batched
+    root solve; a balance for which _complete would raise gives None.
+    """
+    gamma, alpha, theta, airspeed, thrust = np.array(balances, dtype=float).reshape(-1, 5).T
+    status = np.full(len(theta), _OK, dtype=np.int8)
+    sin_t = np.array([math.sin(math.radians(t)) for t in theta.tolist()])
+    values = _propulsion(bundle, theta, sin_t, airspeed, thrust, status)
+    return [TrimPoint(g, a, *row) if s == _OK else None for g, a, s, row in zip(
+        gamma.tolist(), alpha.tolist(), status.tolist(), values.tolist())]
 
 
 def _select_argmax(columns: SweepColumns, alpha_cap: float) -> SweepCell:
@@ -380,15 +419,12 @@ def apply_alpha_cap(result: SweepResult, stall: float, margin: float) -> SweepRe
     return SweepResult(result.grid, result.columns, cap, _select_argmax(result.columns, cap))
 
 
-def _curve(result: SweepResult, alpha: float):
-    """(gamma, status code, range) of each cell on the fixed-alpha line, by gamma."""
+def _curve(result: SweepResult, alpha: float) -> slice:
+    """The cells of the fixed-alpha line, by gamma, as a slice of the columns."""
     ai = _index_of(result.grid.alphas(), alpha)
     if ai is None:
         raise AlphaNotOnGrid(f"alpha={alpha} deg is not on the grid")
-    cols = result.columns
-    line = slice(ai, None, len(result.grid.alphas()))
-    return zip(cols.gamma[line].tolist(), cols.status[line].tolist(),
-               cols.values[line, _RANGE].tolist())
+    return slice(ai, None, len(result.grid.alphas()))
 
 
 def curve_extract(result: SweepResult, alpha: float) -> list[tuple[float, float | None]]:
@@ -396,7 +432,9 @@ def curve_extract(result: SweepResult, alpha: float) -> list[tuple[float, float 
 
     Infeasible cells appear with None so the curve keeps its gaps.
     """
-    return [(g, r if s == _OK else None) for g, s, r in _curve(result, alpha)]
+    cols, line = result.columns, _curve(result, alpha)
+    return [(g, r if s == _OK else None) for g, s, r in zip(
+        cols.gamma[line].tolist(), cols.status[line].tolist(), cols.values[line, _RANGE].tolist())]
 
 
 def _fmt(x: float) -> str:
@@ -407,33 +445,59 @@ CELL_CSV_HEADER = (
     "gamma_deg,alpha_deg,theta_deg,airspeed_m_s,rpm,"
     "torque_Nm,current_A,endurance_s,range_m,status"
 )
+CURVE_CSV_HEADER = "gamma_deg,range_m,status"
 _CSV_VALUES = [VALUE_FIELDS.index(f) for f in (
     "theta", "airspeed", "rpm", "torque_per_rotor", "total_current", "endurance", "range")]
 
 
-def cells_to_csv(result: SweepResult) -> str:
-    """One row per cell; infeasible cells keep their coordinates and reason."""
+def _csv_lines(cols: SweepColumns, cells: slice, gammas: list[str], alphas: list[str]):
+    """The cells.csv lines and the curve CSV lines of the cells in ``cells``.
+
+    ``gammas`` and ``alphas`` are the cells' coordinates as text. Every number
+    is formatted once: a curve line reuses its cell's gamma and range text.
+    """
+    cell_lines, curve_lines = [], []
+    for g, a, s, row in zip(gammas, alphas, cols.status[cells].tolist(),
+                            cols.values[cells, _CSV_VALUES].tolist()):
+        if s == _OK:
+            texts = list(map(repr, row))
+            cell_lines.append(f"{g},{a},{','.join(texts)},{STATUS_OK}\n")
+            curve_lines.append(f"{g},{texts[-1]},{STATUS_OK}\n")
+        else:
+            cell_lines.append(f"{g},{a},,,,,,,,{STATUSES[s]}\n")
+            curve_lines.append(f"{g},,{STATUSES[s]}\n")
+    return cell_lines, curve_lines
+
+
+def csv_chunks(result: SweepResult, curves: list[list[str]] | None = None) -> Iterator[str]:
+    """cells.csv in chunks: the header, then one chunk per gamma row.
+
+    With ``curves``, one list per grid alpha, each row also appends its line
+    of every fixed-alpha curve CSV to that alpha's list, so the sweep's files
+    format each number once. Chunks keep the transient objects to one row.
+    """
     cols = result.columns
     alphas = [_fmt(a) for a in result.grid.alphas()]
     n = len(alphas)
-    # one chunk per gamma keeps the transient Python objects to one grid row
-    chunks = [CELL_CSV_HEADER + "\n"]
+    yield CELL_CSV_HEADER + "\n"
     for k, g in enumerate(map(_fmt, result.grid.gammas())):
-        line = slice(k * n, (k + 1) * n)
-        chunks.append("".join(
-            f"{g},{a},{','.join(map(repr, row))},{STATUS_OK}\n" if s == _OK
-            else f"{g},{a},,,,,,,,{STATUSES[s]}\n"
-            for a, s, row in zip(alphas, cols.status[line].tolist(),
-                                 cols.values[line, _CSV_VALUES].tolist())))
-    return "".join(chunks)
+        cell_lines, curve_lines = _csv_lines(cols, slice(k * n, (k + 1) * n), [g] * n, alphas)
+        for curve, line in zip(curves or (), curve_lines):
+            curve.append(line)
+        yield "".join(cell_lines)
+
+
+def cells_to_csv(result: SweepResult) -> str:
+    """One row per cell; infeasible cells keep their coordinates and reason."""
+    return "".join(csv_chunks(result))
 
 
 def curve_to_csv(result: SweepResult, alpha: float) -> str:
     """Fixed-alpha curve as gamma_deg,range_m,status rows."""
-    lines = ["gamma_deg,range_m,status"]
-    for g, s, r in _curve(result, alpha):
-        lines.append(f"{_fmt(g)},{_fmt(r) if s == _OK else ''},{STATUSES[s]}")
-    return "\n".join(lines) + "\n"
+    cols, line = result.columns, _curve(result, alpha)
+    _, lines = _csv_lines(cols, line, list(map(_fmt, cols.gamma[line].tolist())),
+                          list(map(_fmt, cols.alpha[line].tolist())))
+    return CURVE_CSV_HEADER + "\n" + "".join(lines)
 
 
 def argmax_summary(result: SweepResult) -> dict:

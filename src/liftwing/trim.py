@@ -78,7 +78,8 @@ def trim_airspeed(
 
     Raises HoverDegenerate at theta = 0 (the only equilibrium there is V = 0),
     and Infeasible when no positive-speed equilibrium exists: negative pitch
-    (thrust cannot pull backwards) or a non-positive denominator coefficient.
+    (thrust cannot pull backwards), a non-positive denominator coefficient, or
+    a pitch past 90 deg that leaves V^2 non-positive.
     """
     theta = pitch_from_mounting(gamma, alpha)
     cl = lift_coefficient(aero, alpha)
@@ -99,6 +100,9 @@ def trim_airspeed(
         airframe.mass * env.gravity * tan_t
         / (0.5 * env.air_density * airframe.reference_area * den)
     )
+    if not v_sq > 0.0:
+        # theta past 90 deg tilts the thrust backwards: tan(theta) < 0
+        raise Infeasible(f"V^2 = {v_sq:.6g} <= 0 at alpha={alpha}, theta={theta} deg")
     return math.sqrt(v_sq)
 
 
@@ -184,19 +188,15 @@ def solve_trim(
     )
 
 
-def trim_at_speed(
+def balance_at_speed(
     airframe: Airframe,
     env: Environment,
     aero: LinearAeroModel,
-    thrust_model: PolySurrogate,
-    torque_model: PolySurrogate,
-    esc: EscCurrentModel,
-    battery: Battery,
     gamma: float,
     airspeed: float,
     apply_tilt_loss: bool = False,
-) -> TrimPoint:
-    """Trim at a fixed airspeed: solve for the pitch angle instead of the speed.
+) -> tuple[float, float, float, float, float]:
+    """trim_at_speed's force balance: (gamma, alpha, theta, airspeed, thrust per rotor).
 
     Finds theta in (0, gamma] with alpha = gamma - theta inside the aero fit
     range satisfying tan(theta) (m g - L) = D, by bisection on theta until the
@@ -214,10 +214,7 @@ def trim_at_speed(
 
     if airframe.reference_area == 0.0:
         # degenerate wing: nothing to balance, level attitude carries the speed
-        return _complete(
-            airframe, thrust_model, torque_model, esc, battery,
-            gamma, gamma, 0.0, airspeed, mg / (n * kappa),
-        )
+        return gamma, gamma, 0.0, airspeed, mg / (n * kappa)
 
     q_s = 0.5 * env.air_density * airspeed * airspeed * airframe.reference_area
 
@@ -253,24 +250,40 @@ def trim_at_speed(
     alpha = gamma - theta
     lift = q_s * lift_coefficient(aero, alpha)
     thrust_per = (mg - lift) / (n * kappa * math.cos(math.radians(theta)))
-    return _complete(
-        airframe, thrust_model, torque_model, esc, battery,
-        gamma, alpha, theta, airspeed, thrust_per,
-    )
+    return gamma, alpha, theta, airspeed, thrust_per
 
 
-def wingless_trim_at_speed(
+def trim_at_speed(
     airframe: Airframe,
     env: Environment,
+    aero: LinearAeroModel,
     thrust_model: PolySurrogate,
     torque_model: PolySurrogate,
     esc: EscCurrentModel,
     battery: Battery,
+    gamma: float,
+    airspeed: float,
+    apply_tilt_loss: bool = False,
+) -> TrimPoint:
+    """Trim at a fixed airspeed: solve for the pitch angle instead of the speed.
+
+    The pitch comes from balance_at_speed, which raises NoTrimAtSpeed when no
+    admissible pitch balances the forces.
+    """
+    return _complete(
+        airframe, thrust_model, torque_model, esc, battery,
+        *balance_at_speed(airframe, env, aero, gamma, airspeed, apply_tilt_loss),
+    )
+
+
+def wingless_balance_at_speed(
+    airframe: Airframe,
+    env: Environment,
     airspeed: float,
     parasite_drag_area: float,
     apply_tilt_loss: bool = False,
-) -> TrimPoint:
-    """Trim of the wingless comparison craft at a fixed airspeed.
+) -> tuple[float, float, float, float, float]:
+    """wingless_trim_at_speed's force balance: (gamma, alpha, theta, airspeed, thrust per rotor).
 
     The body is modelled by an equivalent flat-plate area f: total thrust
     satisfies T cos(theta) = m g and T sin(theta) = rho V^2 f / 2, so
@@ -289,7 +302,22 @@ def wingless_trim_at_speed(
     body_drag = 0.5 * env.air_density * airspeed * airspeed * parasite_drag_area
     theta = math.degrees(math.atan(body_drag / mg))
     thrust_per = mg / (n * kappa * math.cos(math.radians(theta)))
+    return theta, 0.0, theta, airspeed, thrust_per
+
+
+def wingless_trim_at_speed(
+    airframe: Airframe,
+    env: Environment,
+    thrust_model: PolySurrogate,
+    torque_model: PolySurrogate,
+    esc: EscCurrentModel,
+    battery: Battery,
+    airspeed: float,
+    parasite_drag_area: float,
+    apply_tilt_loss: bool = False,
+) -> TrimPoint:
+    """Trim of the wingless comparison craft at a fixed airspeed (see wingless_balance_at_speed)."""
     return _complete(
         airframe, thrust_model, torque_model, esc, battery,
-        theta, 0.0, theta, airspeed, thrust_per,
+        *wingless_balance_at_speed(airframe, env, airspeed, parasite_drag_area, apply_tilt_loss),
     )

@@ -185,3 +185,38 @@ def reference_sweep(bundle, grid):
             "airspeed_m_s": best.airspeed, "range_m": best.range,
         }, indent=2) + "\n"
     return cells, files
+
+
+def reference_compare(cfg, speeds):
+    """compare's rows from one scalar trim_at_speed and wingless_trim_at_speed per row.
+
+    This is the library's scalar path, kept as the reference for the column
+    chain that liftwing.cli.compare_rows runs. A side that fails carries
+    "<error type>: <message>" instead of its current.
+    """
+    from liftwing.errors import LiftwingError
+    from liftwing.trim import trim_at_speed, wingless_trim_at_speed
+
+    b = cfg.bundle()
+    rows = []
+    for v in speeds:
+        row = {"speed_m_s": v}
+        try:
+            row["wing_current_A"] = trim_at_speed(
+                b.airframe, b.environment, b.aero, b.thrust_surrogate, b.torque_surrogate,
+                b.esc, b.battery, cfg.mounting_angle, v,
+                apply_tilt_loss=b.apply_tilt_loss).total_current
+        except (LiftwingError, ValueError) as err:
+            row["wing_error"] = f"{type(err).__name__}: {err}"
+        try:
+            row["wingless_current_A"] = wingless_trim_at_speed(
+                b.airframe, b.environment, b.thrust_surrogate, b.torque_surrogate,
+                b.esc, b.battery, v, parasite_drag_area=cfg.parasite_drag_area,
+                apply_tilt_loss=b.apply_tilt_loss).total_current
+        except (LiftwingError, ValueError) as err:
+            row["wingless_error"] = f"{type(err).__name__}: {err}"
+        if "wing_current_A" in row and "wingless_current_A" in row:
+            iw, ib = row["wing_current_A"], row["wingless_current_A"]
+            row["saving_percent"] = 100.0 * (ib - iw) / ib
+        rows.append(row)
+    return rows

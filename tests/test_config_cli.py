@@ -97,6 +97,13 @@ class TestCliTrim:
     def test_infeasible_exit_code(self, capsys):
         assert main(["trim", "--gamma", "50", "--alpha", "0"]) == 3
 
+    def test_pitch_past_90_exits_3_without_traceback(self, capsys):
+        # theta = 99 deg: tan(theta) < 0 while C_D + C_L tan(theta) > 0, so V^2 < 0
+        assert main(["trim", "--gamma", "100", "--alpha", "1"]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("infeasible: Infeasible: V^2 = ")
+        assert "Traceback" not in stderr
+
     def test_requires_exactly_one_of_alpha_speed(self):
         with pytest.raises(SystemExit) as err:
             main(["trim", "--gamma", "35", "--alpha", "10", "--speed", "15"])

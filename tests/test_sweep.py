@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,9 @@ def _perturbed(b):
 
 
 DEFAULT_GRID = SweepGrid(1.0, 50.0, 1.0, 1.0, 18.0, 1.0)
+# gamma - alpha reaches 119 deg: past 90 deg, tan(theta) < 0 and some cells
+# have C_D + C_L tan(theta) > 0, which leaves V^2 negative
+PAST_90_GRID = SweepGrid(1.0, 120.0, 1.0, 1.0, 18.0, 1.0)
 
 
 class TestKernelMatchesScalarReference:
@@ -325,8 +329,9 @@ class TestKernelMatchesScalarReference:
         (lambda b: dataclasses.replace(b, apply_tilt_loss=True), DEFAULT_GRID),
         (_cubic, DEFAULT_GRID),
         (_perturbed, SweepGrid(1.0, 50.0, 0.25, 1.0, 18.0, 0.25)),
+        (lambda b: b, PAST_90_GRID),
     ], ids=["default", "rpm-infeasible", "rpm-infeasible-small", "esc-domain",
-            "esc-domain-small", "tilt-loss", "cubic-thrust", "perturbed-0.25deg"])
+            "esc-domain-small", "tilt-loss", "cubic-thrust", "perturbed-0.25deg", "past-90deg"])
     def test_outputs_byte_identical(self, bundle, variant, grid):
         _assert_matches_reference(variant(bundle), grid)
 
@@ -347,6 +352,38 @@ class TestKernelMatchesScalarReference:
                                                  reference_area=area),
             battery=Battery(capacity))
         _assert_matches_reference(b, SweepGrid(1.0, 50.0, 1.5, 1.0, 18.0, 1.0))
+
+
+    def test_past_90_grid_reaches_negative_speed_squared(self, bundle):
+        aero = bundle.aero
+        negative = [
+            (g, a) for g in PAST_90_GRID.gammas() for a in PAST_90_GRID.alphas()
+            if g - a > 90.0 and aero.drag_slope * a + aero.drag_intercept
+            + (aero.lift_slope * a + aero.lift_intercept) * math.tan(math.radians(g - a)) > 0.0]
+        assert negative
+        result = sweep(bundle, PAST_90_GRID)
+        assert {result.cell_at(g, a).status for g, a in negative} == {STATUS_AERO}
+
+
+class TestCliSweepFiles:
+    """The files cmd_sweep writes against reference_sweep's, byte for byte."""
+
+    @pytest.mark.parametrize("variant, grid", [
+        (lambda c: c, DEFAULT_GRID),
+        (_tight_esc, DEFAULT_GRID),
+        (_perturbed, SweepGrid(1.0, 50.0, 0.25, 1.0, 18.0, 0.25)),
+        (lambda c: c, PAST_90_GRID),
+    ], ids=["default", "esc-domain", "perturbed-0.25deg", "past-90deg"])
+    def test_written_files_equal_reference(self, cfg, variant, grid, tmp_path, capsys):
+        from liftwing import config_to_dict
+        from liftwing.cli import main
+        run = dataclasses.replace(variant(cfg), grid=grid)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(run)))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "sweep", "--out", str(out)]) == 0
+        written = {p.name: p.read_text() for p in out.iterdir()}
+        assert written == reference_sweep(run.bundle(), grid)[1]
 
 
 class TestLazyCells:
