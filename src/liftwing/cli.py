@@ -44,14 +44,25 @@ from .fitting import (
     fit_poly_surrogate,
     parse_propeller_table,
 )
-# cells_to_csv, curve_to_csv and wingless_trim_at_speed are no longer called
-# here; they stay importable from liftwing.cli, where perfbench/spans.py wraps them.
 from .sweep import (CURVE_CSV_HEADER, apply_alpha_cap, cells_to_csv, complete_balances,
                     csv_chunks, curve_to_csv, summary_to_json, sweep)
 from .trim import (Battery, TrimPoint, _complete, balance_at_speed, solve_trim, trim_at_speed,
                    wingless_balance_at_speed, wingless_trim_at_speed)
 
 MAH_PER_S_PER_A = 1000.0 / 3600.0  # 1 A = 1000/3600 mAh/s
+
+# compare's batched chain stands in for per-side trim_at_speed and
+# wingless_trim_at_speed calls, and sweep's one-pass writer for cells_to_csv
+# and curve_to_csv. A caller that puts its own function under one of these
+# names here (a test double, a tracing wrapper) has it called per item instead.
+_PER_ITEM = {name: globals()[name] for name in (
+    "trim_at_speed", "wingless_trim_at_speed", "cells_to_csv", "curve_to_csv")}
+
+
+def _replaced(*names: str) -> bool:
+    """Whether a caller has put its own function under any of these names."""
+    return any(globals()[name] is not _PER_ITEM[name] for name in names)
+
 
 _INFEASIBLE_ERRORS = (
     Infeasible, HoverDegenerate, NoTrimAtSpeed, EmptyFeasibleSet,
@@ -148,16 +159,16 @@ def cmd_hover(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_text(path: Path, chunks: str | Iterable[str]) -> None:
-    """Write the text, or its chunks in turn, to a temp file beside ``path``, then
-    rename it over ``path``.
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks in turn to a temp file beside ``path``, then rename
+    it over ``path``.
 
     A failed write leaves ``path`` as it was, never a partial file.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+            for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
@@ -176,11 +187,16 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         alphas = result.grid.alphas()
-        curves = [[CURVE_CSV_HEADER + "\n"] for _ in alphas]
-        _write_text(out / "cells.csv", csv_chunks(result, curves))
+        if _replaced("cells_to_csv", "curve_to_csv"):
+            cells = [cells_to_csv(result)]
+            curves = [[curve_to_csv(result, alpha)] for alpha in alphas]
+        else:
+            curves = [[CURVE_CSV_HEADER + "\n"] for _ in alphas]
+            cells = csv_chunks(result, curves)  # fills curves while cells.csv is written
+        _write_text(out / "cells.csv", cells)
         for alpha, curve in zip(alphas, curves):
             _write_text(out / f"curve_alpha_{alpha:g}.csv", curve)
-        _write_text(out / "summary.json", summary_to_json(result))
+        _write_text(out / "summary.json", [summary_to_json(result)])
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")
         return 4
@@ -315,10 +331,19 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
 
     Each side's force balance is solved per speed. Every side that balances
     then runs through the sweep's column propulsion chain in one call; a side
-    that fails there runs the scalar chain again for its error text.
+    that fails there runs the scalar chain again for its error text. If a
+    caller has replaced trim_at_speed or wingless_trim_at_speed in this
+    module, those are called for every side instead, with the same rows.
     """
     b = cfg.bundle()
     af, env, tilt = b.airframe, b.environment, b.apply_tilt_loss
+    props = (b.thrust_surrogate, b.torque_surrogate, b.esc, b.battery)
+    if _replaced("trim_at_speed", "wingless_trim_at_speed"):
+        return _rows(speeds, [side for v in speeds for side in (
+            _attempt(trim_at_speed, af, env, b.aero, *props, cfg.mounting_angle, v, tilt),
+            _attempt(wingless_trim_at_speed, af, env, *props, v, cfg.parasite_drag_area,
+                     tilt))])
+
     sides = []  # wing, then wingless, per speed: a balance tuple or an error text
     for v in speeds:
         sides.append(_attempt(balance_at_speed, af, env, b.aero, cfg.mounting_angle, v, tilt))
@@ -327,9 +352,12 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
     balanced = [k for k, side in enumerate(sides) if not isinstance(side, str)]
     points = complete_balances(b, [sides[k] for k in balanced])
     for k, point in zip(balanced, points):
-        sides[k] = point if point is not None else _attempt(
-            _complete, af, b.thrust_surrogate, b.torque_surrogate, b.esc, b.battery, *sides[k])
+        sides[k] = point if point is not None else _attempt(_complete, af, *props, *sides[k])
+    return _rows(speeds, sides)
 
+
+def _rows(speeds: list[float], sides: list) -> list[dict]:
+    """compare's rows from each speed's wing and wingless side, a TrimPoint or an error text."""
     rows = []
     for v, wing, bare in zip(speeds, sides[::2], sides[1::2]):
         row: dict = {"speed_m_s": v}

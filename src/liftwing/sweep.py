@@ -447,44 +447,43 @@ CELL_CSV_HEADER = (
 )
 CURVE_CSV_HEADER = "gamma_deg,range_m,status"
 _CSV_VALUES = [VALUE_FIELDS.index(f) for f in (
-    "theta", "airspeed", "rpm", "torque_per_rotor", "total_current", "endurance", "range")]
+    "theta", "airspeed", "rpm", "torque_per_rotor", "total_current", "endurance")]
 
 
-def _csv_lines(cols: SweepColumns, cells: slice, gammas: list[str], alphas: list[str]):
-    """The cells.csv lines and the curve CSV lines of the cells in ``cells``.
+def _range_texts(cols: SweepColumns, cells: slice) -> tuple[list[int], list[str]]:
+    """The status of each cell in ``cells``, and its range as text ("" if infeasible)."""
+    status = cols.status[cells].tolist()
+    return status, [repr(r) if s == _OK else ""
+                    for s, r in zip(status, cols.values[cells, _RANGE].tolist())]
 
-    ``gammas`` and ``alphas`` are the cells' coordinates as text. Every number
-    is formatted once: a curve line reuses its cell's gamma and range text.
-    """
-    cell_lines, curve_lines = [], []
-    for g, a, s, row in zip(gammas, alphas, cols.status[cells].tolist(),
-                            cols.values[cells, _CSV_VALUES].tolist()):
-        if s == _OK:
-            texts = list(map(repr, row))
-            cell_lines.append(f"{g},{a},{','.join(texts)},{STATUS_OK}\n")
-            curve_lines.append(f"{g},{texts[-1]},{STATUS_OK}\n")
-        else:
-            cell_lines.append(f"{g},{a},,,,,,,,{STATUSES[s]}\n")
-            curve_lines.append(f"{g},,{STATUSES[s]}\n")
-    return cell_lines, curve_lines
+
+def _curve_lines(gammas: list[str], status: list[int], ranges: list[str]) -> list[str]:
+    return [f"{g},{r},{STATUSES[s]}\n" for g, s, r in zip(gammas, status, ranges)]
 
 
 def csv_chunks(result: SweepResult, curves: list[list[str]] | None = None) -> Iterator[str]:
     """cells.csv in chunks: the header, then one chunk per gamma row.
 
     With ``curves``, one list per grid alpha, each row also appends its line
-    of every fixed-alpha curve CSV to that alpha's list, so the sweep's files
-    format each number once. Chunks keep the transient objects to one row.
+    of every fixed-alpha curve CSV to that alpha's list, reusing the gamma and
+    range text of cells.csv, so each number is formatted once. The lists are
+    complete only once the generator is exhausted. Chunks keep the transient
+    objects to one row.
     """
     cols = result.columns
     alphas = [_fmt(a) for a in result.grid.alphas()]
     n = len(alphas)
     yield CELL_CSV_HEADER + "\n"
     for k, g in enumerate(map(_fmt, result.grid.gammas())):
-        cell_lines, curve_lines = _csv_lines(cols, slice(k * n, (k + 1) * n), [g] * n, alphas)
-        for curve, line in zip(curves or (), curve_lines):
+        row = slice(k * n, (k + 1) * n)
+        status, ranges = _range_texts(cols, row)
+        for curve, line in zip(curves or (), _curve_lines([g] * n, status, ranges)):
             curve.append(line)
-        yield "".join(cell_lines)
+        yield "".join(
+            f"{g},{a},{','.join(map(repr, values))},{r},{STATUS_OK}\n" if s == _OK
+            else f"{g},{a},,,,,,,,{STATUSES[s]}\n"
+            for a, s, r, values in zip(alphas, status, ranges,
+                                       cols.values[row, _CSV_VALUES].tolist()))
 
 
 def cells_to_csv(result: SweepResult) -> str:
@@ -495,8 +494,7 @@ def cells_to_csv(result: SweepResult) -> str:
 def curve_to_csv(result: SweepResult, alpha: float) -> str:
     """Fixed-alpha curve as gamma_deg,range_m,status rows."""
     cols, line = result.columns, _curve(result, alpha)
-    _, lines = _csv_lines(cols, line, list(map(_fmt, cols.gamma[line].tolist())),
-                          list(map(_fmt, cols.alpha[line].tolist())))
+    lines = _curve_lines(list(map(_fmt, cols.gamma[line].tolist())), *_range_texts(cols, line))
     return CURVE_CSV_HEADER + "\n" + "".join(lines)
 
 

@@ -146,3 +146,24 @@ class TestScalarRerun:
         rows = cli.compare_rows(c, speeds)
         assert len(calls) == expected > 0
         assert _items(rows) == _items(reference_compare(c, speeds))
+
+
+class TestReplacedSideSolver:
+    """A function put under cli.trim_at_speed or cli.wingless_trim_at_speed sees every side."""
+
+    @pytest.mark.parametrize("name", ["trim_at_speed", "wingless_trim_at_speed"])
+    @pytest.mark.parametrize("variant, speeds", CASES[:3] + CASES[5:6],
+                             ids=CASE_IDS[:3] + CASE_IDS[5:6])
+    def test_called_per_speed_with_the_same_rows(self, cfg, variant, speeds, name, monkeypatch):
+        c = variant(cfg)
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        rows = cli.compare_rows(c, speeds)
+        assert len(calls) == len(speeds)
+        assert json.dumps(rows) == json.dumps(reference_compare(c, speeds))

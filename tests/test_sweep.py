@@ -385,6 +385,22 @@ class TestCliSweepFiles:
         written = {p.name: p.read_text() for p in out.iterdir()}
         assert written == reference_sweep(run.bundle(), grid)[1]
 
+    def test_replaced_serializers_are_called_per_file(self, cfg, tmp_path, monkeypatch):
+        """A function put under cli.cells_to_csv or cli.curve_to_csv writes its file."""
+        from liftwing import cli
+        calls = []
+        for name in ("cells_to_csv", "curve_to_csv"):
+            def counting(*args, _name=name, _original=getattr(cli, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(cli, name, counting)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--out", str(out)]) == 0
+        assert calls.count("cells_to_csv") == 1
+        assert calls.count("curve_to_csv") == len(cfg.grid.alphas())
+        written = {p.name: p.read_text() for p in out.iterdir()}
+        assert written == reference_sweep(cfg.bundle(), cfg.grid)[1]
+
 
 class TestLazyCells:
     def test_cli_sweep_never_builds_cells(self, tmp_path, monkeypatch):
