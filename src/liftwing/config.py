@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .aero import Airframe, Environment, LinearAeroModel
 from .errors import ConfigError
-from .propulsion import EscCurrentModel, PolySurrogate
+from .propulsion import EscCurrentModel, PolySurrogate, require_quadratic_in_rpm
 from .sweep import ModelBundle, SweepGrid
 from .trim import Battery
 
@@ -107,6 +107,7 @@ class RunConfig:
             raise ValueError("parasite_drag_area must be non-negative")
         if not 0.0 < self.mounting_angle < 90.0:
             raise ValueError("mounting_angle must be in (0, 90) deg")
+        require_quadratic_in_rpm(self.thrust_surrogate)
 
     def bundle(self) -> ModelBundle:
         return ModelBundle(

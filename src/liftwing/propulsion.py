@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .aero import Environment
 from .errors import Infeasible, OutOfEscDomain, OutOfSurrogateDomain
+
+
+def power(x: float, k: int) -> float:
+    """x**k, but x * x for k = 2 as numpy squares columns (Python's x**2 can differ)."""
+    return x * x if k == 2 else x**k
 
 
 @dataclass(frozen=True)
@@ -58,21 +61,29 @@ class PolySurrogate:
             )
 
     # Plain left-to-right float adds: builtin sum() compensates rounding from
-    # Python 3.12 on, and the sweep's column kernel repeats this order.
-    def evaluate(self, rpm: float, vp: float) -> float:
+    # Python 3.12 on. The sweep's column kernel runs these same loops on
+    # numpy columns, passing a ``power`` that rounds as this one does.
+    def evaluate(self, rpm: float, vp: float, power=power) -> float:
         """Raw polynomial value, no domain check."""
         total = 0.0
         for i, j, c in self.terms:
-            total += c * vp**i * rpm**j
+            total += c * power(vp, i) * power(rpm, j)
         return total
 
-    def d_drpm(self, rpm: float, vp: float) -> float:
+    def d_drpm(self, rpm: float, vp: float, power=power) -> float:
         """Analytic partial derivative with respect to N."""
         total = 0.0
         for i, j, c in self.terms:
             if j > 0:
-                total += c * vp**i * j * rpm ** (j - 1)
+                total += c * power(vp, i) * j * power(rpm, j - 1)
         return total
+
+
+def require_quadratic_in_rpm(surrogate: PolySurrogate) -> None:
+    """Raise ValueError unless the surrogate is at most quadratic in N, as required_rpm needs."""
+    degree = max(j for _, j, _ in surrogate.terms)
+    if degree > 2:
+        raise ValueError(f"thrust surrogate must be at most quadratic in N, not degree {degree}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +173,14 @@ def required_rpm(surrogate: PolySurrogate, thrust_required: float, vp: float) ->
 
     Only roots on the rising branch (dT/dN > 0) are physical: that is the
     branch a speed controller can hold. At fixed vp the surrogate is a
-    polynomial in N, so every root comes from numpy.roots; of the real roots
-    in rpm_domain on the rising branch the smallest wins. A tangency (zero
-    slope at the root) is not a controllable operating point and reports
-    Infeasible.
+    quadratic a N^2 + b N + c in N, solved without cancellation (Numerical
+    Recipes 5.6): q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 gives the roots q/a
+    and c/q, and a = 0 the root -c/b. Of the roots in rpm_domain on the
+    rising branch the smallest wins. A tangency (zero slope at the root) is
+    not a controllable operating point and reports Infeasible. A surrogate
+    cubic or higher in N raises ValueError.
     """
+    require_quadratic_in_rpm(surrogate)
     if not 0.0 < thrust_required < math.inf:
         raise Infeasible("thrust_required must be positive and finite", stage="rpm")
     if not surrogate.vp_domain[0] <= vp <= surrogate.vp_domain[1]:
@@ -174,14 +188,21 @@ def required_rpm(surrogate: PolySurrogate, thrust_required: float, vp: float) ->
             f"V_p={vp} m/s outside fit range {list(surrogate.vp_domain)}"
         )
 
-    coeffs = [0.0] * (max(j for _, j, _ in surrogate.terms) + 1)
-    for i, j, c in surrogate.terms:
-        coeffs[j] += c * vp**i
-    coeffs[0] -= thrust_required
+    coeffs = [0.0, 0.0, 0.0]
+    for i, j, k in surrogate.terms:
+        coeffs[j] += k * power(vp, i)
+    c, b, a = coeffs[0] - thrust_required, coeffs[1], coeffs[2]
+    roots = ()
+    if a == 0.0:
+        if b != 0.0:
+            roots = (-c / b,)
+    elif (disc := b * b - 4.0 * a * c) >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if q != 0.0:  # q = 0 only for b = c = 0: a double root N = 0 with zero slope
+            roots = (q / a, c / q)
 
     lo, hi = surrogate.rpm_domain
-    real = [float(r.real) for r in np.roots(coeffs[::-1]) if r.imag == 0.0]
-    rising = [r for r in real if lo <= r <= hi and surrogate.d_drpm(r, vp) > 0.0]
+    rising = [r for r in roots if lo <= r <= hi and surrogate.d_drpm(r, vp) > 0.0]
     if not rising:
         raise Infeasible(
             f"no rising-branch N in {list(surrogate.rpm_domain)} RPM gives "

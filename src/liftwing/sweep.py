@@ -6,13 +6,14 @@ argmax respects the stall safety cap alpha <= stall_alpha - safety_margin
 backed into the airframe.
 
 The sweep runs solve_trim's chain on numpy columns over all cells at once,
-with one batched eigenvalue solve for rotor speed, and keeps the outcome as
-columns. Each step repeats solve_trim's arithmetic operation for operation,
-so every value is bit-identical to a per-cell solve_trim: trigonometry comes
-from ``math`` and integer powers >= 2 from Python's float ``**`` (numpy's
-differ from libm in the last bit), and sums run in the same order. The
-propulsion half of that chain also completes compare's force balances
-(complete_balances), so both commands share one column chain.
+with rotor speed from required_rpm's closed-form quadratic, and keeps the
+outcome as columns. Each step repeats solve_trim's arithmetic operation for
+operation, so every value is bit-identical to a per-cell solve_trim:
+trigonometry comes from ``math``, squares are x * x on both paths, higher
+integer powers come from Python's float ``**`` (numpy's differ from libm in
+the last bit), and sums run in the same order. The propulsion half of that
+chain also completes compare's force balances (complete_balances), so both
+commands share one column chain.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .aero import Airframe, Environment, LinearAeroModel
 from .errors import AlphaNotOnGrid, EmptyFeasibleSet
-from .propulsion import EscCurrentModel, PolySurrogate
+from .propulsion import EscCurrentModel, PolySurrogate, require_quadratic_in_rpm
 from .trim import Battery, TrimPoint, _thrust_factor, solve_trim
 
 STATUS_OK = "ok"
@@ -63,6 +64,9 @@ class ModelBundle:
     esc: EscCurrentModel
     battery: Battery
     apply_tilt_loss: bool = False
+
+    def __post_init__(self):
+        require_quadratic_in_rpm(self.thrust_surrogate)
 
     def solve(self, gamma: float, alpha: float) -> TrimPoint:
         return solve_trim(
@@ -202,67 +206,34 @@ def _index_of(axis: list[float], value: float) -> int | None:
 
 
 def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k elementwise, rounded as Python's float ** rounds it."""
-    if k < 2:
-        return x**k
+    """propulsion.power elementwise: x * x for k = 2, Python's float ** for k >= 3."""
+    if k < 3:
+        return x * x if k == 2 else x**k
     return np.array([v**k for v in x.tolist()], dtype=float)
-
-
-def _evaluate(surrogate: PolySurrogate, rpm: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """PolySurrogate.evaluate over columns."""
-    total = np.zeros_like(rpm)
-    for i, j, c in surrogate.terms:
-        total += c * _pow(vp, i) * _pow(rpm, j)
-    return total
-
-
-def _d_drpm(surrogate: PolySurrogate, rpm: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """PolySurrogate.d_drpm over columns."""
-    total = np.zeros_like(rpm)
-    for i, j, c in surrogate.terms:
-        if j > 0:
-            total += c * _pow(vp, i) * j * _pow(rpm, j - 1)
-    return total
 
 
 def _required_rpm(surrogate: PolySurrogate, thrust: np.ndarray, vp: np.ndarray) -> np.ndarray:
     """required_rpm over columns whose thrust and V_p it accepts; NaN where it has no root.
 
-    numpy.roots builds a companion matrix from the coefficients of N with the
-    zero leading ones stripped, and appends a root 0 for each zero trailing
-    one. Rows are grouped by those two counts, each group's matrices stacked
-    for one eigvals call.
+    The same closed form, operation for operation: np.sqrt rounds as
+    math.sqrt does, so every root carries the scalar path's bits.
     """
-    deg = max(j for _, j, _ in surrogate.terms)
-    coeffs = np.zeros((len(thrust), deg + 1))
-    for i, j, c in surrogate.terms:
-        coeffs[:, j] += c * _pow(vp, i)
-    coeffs[:, 0] -= thrust
-
-    nonzero = coeffs != 0.0
-    top = deg - np.argmax(nonzero[:, ::-1], axis=1)
-    low = np.argmax(nonzero, axis=1)
-    top[~nonzero.any(axis=1)] = -1  # an all-zero polynomial: numpy.roots finds no root
+    coeffs = [np.zeros_like(thrust) for _ in range(3)]
+    for i, j, k in surrogate.terms:
+        coeffs[j] += k * _pow(vp, i)
+    c, b, a = coeffs[0] - thrust, coeffs[1], coeffs[2]
+    linear = a == 0.0
+    with np.errstate(all="ignore"):  # rows without a root divide by zero or take sqrt(< 0)
+        disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        first, second = np.where(linear, -c / b, q / a), c / q
+    quadratic = ~linear & (disc >= 0.0) & (q != 0.0)
     rpm = np.full(len(thrust), np.nan)
     lo, hi = surrogate.rpm_domain
-    for t, b in sorted(set(zip(top.tolist(), low.tolist())) - {(-1, 0)}):
-        rows = np.flatnonzero((top == t) & (low == b))
-        size = t - b
-        if size:
-            p = coeffs[rows, b:t + 1][:, ::-1]
-            companion = np.zeros((len(rows), size, size))
-            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            roots = np.linalg.eigvals(companion)
-        else:
-            roots = np.empty((len(rows), 0))
-        roots = np.concatenate([roots, np.zeros((len(rows), b))], axis=1)
-        row, col = np.nonzero((roots.imag == 0.0) & (lo <= roots.real) & (roots.real <= hi))
-        cand = roots.real[row, col]
-        rising = _d_drpm(surrogate, cand, vp[rows][row]) > 0.0
-        best = np.full(len(rows), np.inf)
-        np.minimum.at(best, row[rising], cand[rising])
-        rpm[rows] = np.where(best < np.inf, best, np.nan)
+    for root, real in ((first, quadratic | (linear & (b != 0.0))), (second, quadratic)):
+        ok = real & (lo <= root) & (root <= hi)
+        ok[ok] = surrogate.d_drpm(root[ok], vp[ok], _pow) > 0.0
+        rpm[ok] = np.fmin(rpm[ok], root[ok])
     return rpm
 
 
@@ -309,7 +280,7 @@ def _propulsion(bundle: ModelBundle, theta: np.ndarray, sin_t: np.ndarray,
         _mark(status, live, _outside(vp, torque_model.vp_domain)
               | _outside(rpm, torque_model.rpm_domain), _SURROGATE)
         torque_nm = np.full(len(thrust), np.nan)
-        torque_nm[live] = _evaluate(torque_model, rpm[live], vp[live])
+        torque_nm[live] = torque_model.evaluate(rpm[live], vp[live], _pow)
         _mark(status, live, _outside(torque_nm, esc.torque_domain), _ESC)
 
         current = esc.quad * torque_nm * torque_nm + esc.lin * torque_nm + esc.const
@@ -362,8 +333,8 @@ def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
 def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[TrimPoint | None]:
     """trim._complete on each balance (gamma, alpha, theta, airspeed, thrust per rotor).
 
-    All balances run through the column chain in one call, with one batched
-    root solve; a balance for which _complete would raise gives None.
+    All balances run through the column chain in one call; a balance for
+    which _complete would raise gives None.
     """
     gamma, alpha, theta, airspeed, thrust = np.array(balances, dtype=float).reshape(-1, 5).T
     status = np.full(len(theta), _OK, dtype=np.int8)

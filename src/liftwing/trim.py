@@ -199,9 +199,16 @@ def balance_at_speed(
     """trim_at_speed's force balance: (gamma, alpha, theta, airspeed, thrust per rotor).
 
     Finds theta in (0, gamma] with alpha = gamma - theta inside the aero fit
-    range satisfying tan(theta) (m g - L) = D, by bisection on theta until the
-    bracket ends are adjacent floats. Raises NoTrimAtSpeed when the residual
-    has no sign change over the admissible bracket.
+    range satisfying r(theta) = tan(theta) (m g - L) - D = 0 by safeguarded
+    Newton steps on the closed-form slope (Numerical Recipes 9.4, rtsafe),
+    shrinking a sign-change bracket until its ends are adjacent floats. A
+    step that leaves the bracket, or a zero or non-finite slope, bisects
+    instead; a step that rounds to the current point probes the next float
+    toward the far end. The end with the smaller |r| is returned: the float
+    plain bisection returns when r changes sign once over the bracket's
+    floats. theta is reported as gamma - alpha, so that identity holds
+    exactly. Raises NoTrimAtSpeed when r is not finite at the bracket ends or
+    has no sign change between them.
     """
     if airspeed <= 0.0:
         raise NoTrimAtSpeed("airspeed must be positive")
@@ -218,17 +225,23 @@ def balance_at_speed(
 
     q_s = 0.5 * env.air_density * airspeed * airspeed * airframe.reference_area
 
-    def residual(theta: float) -> float:
+    def residual(theta: float) -> tuple[float, float]:
+        """r(theta) and dr/dtheta, per degree."""
         a = gamma - theta
         lift = q_s * (aero.lift_slope * a + aero.lift_intercept)
         drag = q_s * (aero.drag_slope * a + aero.drag_intercept)
-        return math.tan(math.radians(theta)) * (mg - lift) - drag
+        tan_t = math.tan(math.radians(theta))
+        slope = (math.pi / 180.0 * (1.0 + tan_t * tan_t) * (mg - lift)
+                 + q_s * (tan_t * aero.lift_slope + aero.drag_slope))
+        return tan_t * (mg - lift) - drag, slope
 
     lo = max(1e-9, gamma - aero.alpha_max)
     hi = min(gamma, gamma - aero.alpha_min)
     if lo >= hi:
         raise NoTrimAtSpeed("mounting angle leaves no admissible pitch bracket")
-    r_lo, r_hi = residual(lo), residual(hi)
+    (r_lo, _), (r_hi, _) = residual(lo), residual(hi)
+    if not all(map(math.isfinite, (q_s, r_lo, r_hi))):
+        raise NoTrimAtSpeed(f"the force balance is not finite at {airspeed} m/s")
     if r_lo == 0.0:
         theta = lo
     elif r_hi == 0.0:
@@ -239,15 +252,25 @@ def balance_at_speed(
             f"{airspeed} m/s (attack angle would leave the aero fit range)"
         )
     else:
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            r_mid = residual(mid)
-            if (r_mid < 0.0) == (r_lo < 0.0):
-                lo, r_lo = mid, r_mid
+        negative_lo = r_lo < 0.0
+        x = 0.5 * (lo + hi)
+        while lo < x < hi:
+            r, slope = residual(x)
+            if (r < 0.0) == negative_lo:
+                lo, r_lo = x, r
             else:
-                hi, r_hi = mid, r_mid
+                hi, r_hi = x, r
+            step = x - r / slope if slope != 0.0 and math.isfinite(slope) else math.nan
+            if step == x:
+                x = math.nextafter(x, hi if x == lo else lo)
+            elif lo < step < hi:
+                x = step
+            else:
+                x = 0.5 * (lo + hi)
         theta = lo if abs(r_lo) <= abs(r_hi) else hi
 
     alpha = gamma - theta
+    theta = gamma - alpha  # the float for which theta = gamma - alpha holds exactly
     lift = q_s * lift_coefficient(aero, alpha)
     thrust_per = (mg - lift) / (n * kappa * math.cos(math.radians(theta)))
     return gamma, alpha, theta, airspeed, thrust_per

@@ -1,11 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from liftwing import default_config, sweep
+
+# CI runs set HYPOTHESIS_PROFILE=ci: the same examples on every run, so a
+# bit-identity property cannot turn red by chance; local runs stay random
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,66 @@ def scan_theta_at_speed(mass, gravity, rho, area, aero, gamma, v, dth=1e-4):
     return float(th[int(np.argmin(np.abs(g)))])
 
 
+def bisect_balance_at_speed(airframe, env, aero, gamma, airspeed, apply_tilt_loss=False):
+    """liftwing.trim.balance_at_speed by plain bisection on theta.
+
+    Halves the admissible pitch bracket until its ends are adjacent floats
+    and returns the end with the smaller |residual|, with the library's
+    checks and error texts. One residual evaluation per halving: about 54.
+    """
+    from liftwing.aero import lift_coefficient
+    from liftwing.errors import NoTrimAtSpeed
+
+    if airspeed <= 0.0:
+        raise NoTrimAtSpeed("airspeed must be positive")
+    if not 0.0 < gamma < 90.0:
+        raise ValueError("mounting angle must be in (0, 90) deg")
+    kappa = math.cos(math.radians(airframe.rotor_tilt)) if apply_tilt_loss else 1.0
+    mg = airframe.mass * env.gravity
+    n = airframe.rotor_count
+    if airframe.reference_area == 0.0:
+        return gamma, gamma, 0.0, airspeed, mg / (n * kappa)
+
+    q_s = 0.5 * env.air_density * airspeed * airspeed * airframe.reference_area
+
+    def residual(theta):
+        a = gamma - theta
+        lift = q_s * (aero.lift_slope * a + aero.lift_intercept)
+        drag = q_s * (aero.drag_slope * a + aero.drag_intercept)
+        return math.tan(math.radians(theta)) * (mg - lift) - drag
+
+    lo = max(1e-9, gamma - aero.alpha_max)
+    hi = min(gamma, gamma - aero.alpha_min)
+    if lo >= hi:
+        raise NoTrimAtSpeed("mounting angle leaves no admissible pitch bracket")
+    r_lo, r_hi = residual(lo), residual(hi)
+    if not (math.isfinite(q_s) and math.isfinite(r_lo) and math.isfinite(r_hi)):
+        raise NoTrimAtSpeed(f"the force balance is not finite at {airspeed} m/s")
+    if r_lo == 0.0:
+        theta = lo
+    elif r_hi == 0.0:
+        theta = hi
+    elif r_lo * r_hi > 0.0:
+        raise NoTrimAtSpeed(
+            f"no pitch in [{lo:.3f}, {hi:.3f}] deg balances the forces at "
+            f"{airspeed} m/s (attack angle would leave the aero fit range)"
+        )
+    else:
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            r_mid = residual(mid)
+            if (r_mid < 0.0) == (r_lo < 0.0):
+                lo, r_lo = mid, r_mid
+            else:
+                hi, r_hi = mid, r_mid
+        theta = lo if abs(r_lo) <= abs(r_hi) else hi
+
+    alpha = gamma - theta
+    theta = gamma - alpha  # the float for which theta = gamma - alpha holds exactly
+    lift = q_s * lift_coefficient(aero, alpha)
+    thrust_per = (mg - lift) / (n * kappa * math.cos(math.radians(theta)))
+    return gamma, alpha, theta, airspeed, thrust_per
+
+
 def _poly(terms, rpm, vp):
     return sum(c * vp**i * rpm**j for i, j, c in terms)
 

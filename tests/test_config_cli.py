@@ -67,6 +67,24 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=r"thrust_surrogate.terms\[1\] must be an integer"):
             config_from_dict(doc)
 
+    def test_cubic_thrust_surrogate_rejected(self, cfg, tmp_path, capsys):
+        # rotor speed is a closed-form quadratic root: thrust must stay at most
+        # quadratic in N, while torque, only evaluated, takes any exponent
+        with pytest.raises(ValueError, match="at most quadratic in N"):
+            dataclasses.replace(cfg, thrust_surrogate=dataclasses.replace(
+                cfg.thrust_surrogate, terms=cfg.thrust_surrogate.terms + ((0, 3, 1e-12),)))
+        doc = config_to_dict(cfg)
+        doc["thrust_surrogate"]["terms"].append([0, 3, 1e-12])
+        with pytest.raises(ConfigError, match="thrust surrogate must be at most quadratic"):
+            config_from_dict(doc)
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "hover"]) == 2
+        assert "config error: thrust surrogate must be at most quadratic" in capsys.readouterr().err
+        doc = config_to_dict(cfg)
+        doc["torque_surrogate"]["terms"].append([0, 3, 1e-16])
+        assert (0, 3, 1e-16) in config_from_dict(doc).torque_surrogate.terms
+
     def test_integral_float_counts_accepted(self, cfg):
         doc = config_to_dict(cfg)
         doc["airframe"]["rotor_count"] = 4.0
@@ -227,6 +245,15 @@ class TestCliCompare:
         assert main(["compare", "--speeds", "60"]) == 3
         out = capsys.readouterr().out
         assert "marked" in out
+
+    def test_overflowing_dynamic_pressure_is_no_trim(self, capsys):
+        # rho V^2 / 2 overflows at 1e200 m/s: the wing side reports the
+        # force balance, not a NaN thrust further down the chain
+        assert main(["compare", "--speeds", "1e200"]) == 3
+        wing = "NoTrimAtSpeed: the force balance is not finite at 1e+200 m/s"
+        assert f"marked: {wing}" in capsys.readouterr().out
+        assert main(["trim", "--gamma", "35", "--speed", "1e200"]) == 3
+        assert capsys.readouterr().err == f"infeasible: {wing}\n"
 
     def test_gamma_override(self, capsys):
         assert main(["--format", "json", "compare", "--speeds", "15",

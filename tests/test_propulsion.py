@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liftwing import (
     Environment,
@@ -23,6 +26,8 @@ from liftwing.config import (
     THRUST_SURROGATE_TERMS,
     TORQUE_TERMS_AS_TRANSCRIBED,
 )
+
+from liftwing.sweep import _required_rpm
 
 from oracles import closed_form_rpm, eval_terms_shuffled, scan_required_rpm
 
@@ -243,13 +248,83 @@ class TestRequiredRpm:
         (6.0, 0.0), (6.5, 0.0), (5.0, 0.0), (5.5, 3.0), (3.0, 0.0), (14.0, 0.0)])
     def test_cubic_surrogate_against_scan_oracle(self, thrust_required, vp):
         # T = 1e-10 (N - 3000)(N - 5000)(N - 8000) + 6 + 2e-6 vp N: rising,
-        # falling, rising across the domain, so the smallest rising-branch
-        # root moves between branches with the thrust asked for
+        # falling, rising across the domain. Rotor speed is a closed-form
+        # quadratic root, so thrust cubic in N is refused at the call,
+        # whether or not a rising root exists
         cubic = PolySurrogate(((0, 0, -6.0), (0, 1, 7.9e-3), (1, 1, 2e-6),
                                (0, 2, -1.6e-6), (0, 3, 1e-10)))
-        scan = scan_required_rpm(cubic, thrust_required, vp)
-        if scan is None:
-            with pytest.raises(Infeasible):
-                required_rpm(cubic, thrust_required, vp)
-        else:
-            assert required_rpm(cubic, thrust_required, vp) == pytest.approx(scan, abs=1e-4)
+        with pytest.raises(ValueError, match="at most quadratic in N, not degree 3"):
+            required_rpm(cubic, thrust_required, vp)
+
+
+def _quadratic(a, r1, r2, thrust_required, vp, b_vp, c_vp):
+    """A thrust surrogate with T(N, vp) - thrust_required = a (N - r1)(N - r2) up to rounding.
+
+    a = 0 gives the line (N - r1), times 1e-3. b_vp and c_vp move part of the
+    N^1 and N^0 coefficients onto V_p terms.
+    """
+    if a == 0.0:
+        b, c = 1e-3 * (1.0 if r2 > r1 else -1.0), -1e-3 * r1 * (1.0 if r2 > r1 else -1.0)
+    else:
+        b, c = -a * (r1 + r2), a * r1 * r2
+    return PolySurrogate(((0, 0, c + thrust_required - c_vp * vp), (1, 0, c_vp),
+                          (0, 1, b - b_vp * vp), (1, 1, b_vp), (0, 2, a)))
+
+
+def _tangent(sign, e, k, thrust_required):
+    """sign 2^-e (N - r)^2 + thrust_required with r = k + 1/32: b^2 - 4ac is exactly 0.
+
+    Every coefficient is a multiple of 2^-e well inside 2^53 of them, so all
+    of them, and the discriminant, are exact; r sits 1/32 RPM off the
+    oracle's 0.1 RPM scan grid.
+    """
+    a = sign * 2.0**-e
+    r = k + 1.0 / 32.0
+    return PolySurrogate(((0, 0, a * r * r + thrust_required), (0, 1, -2.0 * a * r), (0, 2, a)))
+
+
+def _assert_paths_and_oracle_agree(surrogate, thrust_required, vp):
+    column = _required_rpm(surrogate, np.array([thrust_required]), np.array([vp]))[0]
+    scan = scan_required_rpm(surrogate, thrust_required, vp)
+    try:
+        n = required_rpm(surrogate, thrust_required, vp)
+    except Infeasible:
+        assert np.isnan(column)
+        assert scan is None
+        return
+    assert float(column).hex() == n.hex()
+    assert scan is not None and n == pytest.approx(scan, abs=1e-4)
+
+
+class TestRequiredRpmProperties:
+    """Closed-form rotor speed: scalar and column paths bit for bit, and the scan oracle."""
+
+    _roots = st.floats(0.0, 12000.0).filter(
+        lambda r: min(abs(r - 2000.0), abs(r - 10000.0)) >= 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.one_of(st.just(0.0), st.floats(-8.0, -5.0).map(lambda e: -10.0**e),
+                       st.floats(-8.0, -5.0).map(lambda e: 10.0**e)),
+           r1=_roots, r2=_roots, thrust_required=st.floats(0.5, 20.0),
+           vp=st.floats(0.0, 20.0), b_vp=st.floats(-1e-5, 1e-5), c_vp=st.floats(-1e-2, 1e-2))
+    def test_generated_quadratics(self, a, r1, r2, thrust_required, vp, b_vp, c_vp):
+        assume(abs(r1 - r2) >= 1.0)
+        surrogate = _quadratic(a, r1, r2, thrust_required, vp, b_vp, c_vp)
+        _assert_paths_and_oracle_agree(surrogate, thrust_required, vp)
+
+    @settings(max_examples=20, deadline=None)
+    @given(sign=st.sampled_from([1.0, -1.0]), e=st.integers(20, 30),
+           k=st.integers(2000, 9999), thrust_required=st.sampled_from([0.5, 4.0, 9.0]))
+    def test_tangent_root_is_infeasible(self, sign, e, k, thrust_required):
+        surrogate = _tangent(sign, e, k, thrust_required)
+        (_, _, c), (_, _, b), (_, _, a) = surrogate.terms
+        assert b * b - 4.0 * a * (c - thrust_required) == 0.0
+        _assert_paths_and_oracle_agree(surrogate, thrust_required, 0.0)
+        with pytest.raises(Infeasible):
+            required_rpm(surrogate, thrust_required, 0.0)
+
+    @pytest.mark.parametrize("r1, r2", [(1500.0, 2500.0), (9500.0, 10500.0),
+                                        (-3000.0, 2000.5), (9999.5, 14000.0)])
+    @pytest.mark.parametrize("a", [1e-6, -1e-6, 0.0])
+    def test_roots_straddling_the_domain_edges(self, a, r1, r2):
+        _assert_paths_and_oracle_agree(_quadratic(a, r1, r2, 5.0, 3.0, 1e-6, 1e-3), 5.0, 3.0)

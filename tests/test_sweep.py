@@ -298,11 +298,11 @@ def _tight_esc(b):
         esc=EscCurrentModel(73.05, 12.15, -0.511, torque_domain=(0.05, 0.21)))
 
 
-def _cubic(b):
-    # the N^3 coefficient is c * V_p: exactly 0 at V_p = 0 (the hover cells),
-    # where numpy.roots strips it and solves a quadratic
-    return dataclasses.replace(b, thrust_surrogate=PolySurrogate(
-        b.thrust_surrogate.terms + ((1, 3, -1e-13),), vp_domain=(0.0, 20.0),
+def _cubic_torque(b):
+    # N^3 and V_p^3 terms: only torque takes powers past 2, through Python's
+    # float ** on both paths
+    return dataclasses.replace(b, torque_surrogate=PolySurrogate(
+        b.torque_surrogate.terms + ((1, 3, 1e-16), (3, 0, -1e-6)), vp_domain=(0.0, 20.0),
         rpm_domain=(2000.0, 10000.0)))
 
 
@@ -327,20 +327,27 @@ class TestKernelMatchesScalarReference:
         (_tight_esc, DEFAULT_GRID),
         (_tight_esc, SweepGrid(30.0, 40.0, 1.0, 10.0, 18.0, 1.0)),
         (lambda b: dataclasses.replace(b, apply_tilt_loss=True), DEFAULT_GRID),
-        (_cubic, DEFAULT_GRID),
+        (_cubic_torque, DEFAULT_GRID),
         (_perturbed, SweepGrid(1.0, 50.0, 0.25, 1.0, 18.0, 0.25)),
         (lambda b: b, PAST_90_GRID),
     ], ids=["default", "rpm-infeasible", "rpm-infeasible-small", "esc-domain",
-            "esc-domain-small", "tilt-loss", "cubic-thrust", "perturbed-0.25deg", "past-90deg"])
+            "esc-domain-small", "tilt-loss", "cubic-torque", "perturbed-0.25deg", "past-90deg"])
     def test_outputs_byte_identical(self, bundle, variant, grid):
         _assert_matches_reference(variant(bundle), grid)
 
     def test_every_status_is_exercised(self, bundle):
         seen = set()
-        for variant in (lambda b: b, _narrow_rpm, _tight_esc, _cubic):
+        for variant in (lambda b: b, _narrow_rpm, _tight_esc):
             seen |= {s for s, _ in reference_sweep(variant(bundle), DEFAULT_GRID)[0]}
         assert seen == {STATUS_OK, STATUS_HOVER, STATUS_AERO, STATUS_RPM,
                         STATUS_ESC, STATUS_SURROGATE}
+
+    def test_cubic_thrust_rejected(self, bundle):
+        # rotor speed comes from a closed-form quadratic: thrust cubic in N
+        # is refused when the bundle is built, before any cell is solved
+        cubic = PolySurrogate(bundle.thrust_surrogate.terms + ((1, 3, -1e-13),))
+        with pytest.raises(ValueError, match="at most quadratic in N, not degree 3"):
+            dataclasses.replace(bundle, thrust_surrogate=cubic)
 
     @settings(max_examples=25, deadline=None)
     @given(mass=st.floats(1.0, 3.0),

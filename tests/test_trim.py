@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import liftwing.trim
 from liftwing import (
     Battery,
     HoverDegenerate,
@@ -16,8 +19,10 @@ from liftwing import (
     wingless_trim_at_speed,
 )
 from liftwing.config import default_config
+from liftwing.errors import LiftwingError
+from liftwing.trim import balance_at_speed
 
-from oracles import scan_theta_at_speed, scan_trim_airspeed, wing_residuals
+from oracles import bisect_balance_at_speed, scan_theta_at_speed, scan_trim_airspeed, wing_residuals
 
 CFG = default_config()
 B = CFG.bundle()
@@ -250,3 +255,101 @@ def test_residuals_hold_across_random_feasible_points():
         res_v, res_h = wing_residuals(point, B.airframe, B.environment, B.aero)
         assert abs(res_v) <= 1e-6 * mg and abs(res_h) <= 1e-6 * mg
         checked += 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (LiftwingError, ValueError) as err:
+        return type(err), str(err)
+
+
+class _CountingMath:
+    """Stands in for the math module; counts tan calls, one per residual evaluation."""
+
+    def __init__(self):
+        self.tan_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def tan(self, x):
+        self.tan_calls += 1
+        return math.tan(x)
+
+
+class TestPitchSolve:
+    """balance_at_speed's Newton solve against plain bisection to adjacent floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mass=st.floats(0.3, 6.0),
+           area=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+           gamma=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+           speed=st.one_of(st.floats(1.0, 40.0), st.floats(1e-300, 1e200),
+                           st.floats(-300.0, 200.0).map(lambda e: 10.0**e)),
+           tilt=st.booleans())
+    def test_matches_bisection_oracle(self, mass, area, gamma, speed, tilt):
+        af = dataclasses.replace(B.airframe, mass=mass, reference_area=area)
+        args = (af, B.environment, B.aero, gamma, speed, tilt)
+        got, want = _outcome(balance_at_speed, *args), _outcome(bisect_balance_at_speed, *args)
+        if isinstance(want[0], float):  # bit for bit: -0.0 and 0.0 differ in hex
+            got, want = [float(x).hex() for x in got], [x.hex() for x in want]
+        assert got == want
+
+    @pytest.mark.parametrize("gamma", [20.0, 35.0, 45.0])
+    def test_at_most_20_residual_evaluations(self, gamma, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(liftwing.trim, "math", counting)
+        solved = 0
+        for k in range(81):
+            counting.tan_calls = 0
+            try:
+                balance_at_speed(B.airframe, B.environment, B.aero, gamma, 5.0 + 0.25 * k)
+                solved += 1
+            except NoTrimAtSpeed:
+                pass
+            assert counting.tan_calls <= 20
+        assert solved
+
+    def test_overflowing_dynamic_pressure_raises(self):
+        with pytest.raises(NoTrimAtSpeed, match="not finite at 1e[+]200 m/s"):
+            balance_at_speed(B.airframe, B.environment, B.aero, 35.0, 1e200)
+
+
+class TestTrimInvariants:
+    """Residuals within 1e-6 m g, theta = gamma - alpha exactly, R = V t, over generated points."""
+
+    @staticmethod
+    def _check(point, bundle):
+        mg = bundle.airframe.mass * bundle.environment.gravity
+        res_v, res_h = wing_residuals(point, bundle.airframe, bundle.environment, bundle.aero)
+        assert abs(res_v) <= 1e-6 * mg and abs(res_h) <= 1e-6 * mg
+        assert point.theta == point.gamma - point.alpha
+        assert point.range == pytest.approx(point.airspeed * point.endurance, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _bundle(mass, area):
+        return dataclasses.replace(
+            B, airframe=dataclasses.replace(B.airframe, mass=mass, reference_area=area))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mass=st.floats(1.0, 3.0), area=st.floats(0.02, 0.3),
+           gamma=st.floats(0.5, 60.0), alpha=st.floats(-8.0, 18.0))
+    def test_at_angles(self, mass, area, gamma, alpha):
+        bundle = self._bundle(mass, area)
+        try:
+            point = _solve(gamma, alpha, bundle)
+        except LiftwingError:
+            assume(False)
+        self._check(point, bundle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mass=st.floats(1.0, 3.0), area=st.floats(0.02, 0.3),
+           gamma=st.floats(0.5, 89.5), speed=st.floats(1.0, 30.0))
+    def test_at_speed(self, mass, area, gamma, speed):
+        bundle = self._bundle(mass, area)
+        try:
+            point = _at_speed(gamma, speed, bundle)
+        except LiftwingError:
+            assume(False)
+        self._check(point, bundle)
