@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -308,7 +309,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_text(out / f"fit_{args.target}.json", text)
+            _write_text(out / f"fit_{args.target}.json", [text])
         except OSError as err:
             sys.stderr.write(f"i/o error: {err}\n")
             return 4
@@ -421,6 +422,17 @@ def _speeds(text: str) -> list[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftwing",
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--capacity-mah", type=_finite, default=None,
                         help="override battery capacity (Q[A*s] = mAh * 3.6)")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trim = sub.add_parser("trim", help="solve one trim point")
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="exhaustive (gamma, alpha) range sweep")
     p_sweep.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS,
                          help="parallel workers")
     p_sweep.add_argument("--margin", type=_finite, default=None,
                          help="override the stall safety margin, deg")
@@ -470,8 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused: each parse_args call starts
+# from a fresh namespace, and rebuilding the tree was most of main's fixed cost
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except _BAD_INPUT_ERRORS as err:

@@ -6,6 +6,7 @@ Unknown keys are rejected so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -391,10 +392,18 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        doc = json.loads(text)
+        return _parse_config(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return config_from_dict(doc)
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_config(text: str) -> RunConfig:
+    """The config that a file's text describes; the last good text's is reused.
+
+    Sharing one result is safe: RunConfig and all its parts are frozen.
+    """
+    return config_from_dict(json.loads(text))
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

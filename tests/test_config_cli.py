@@ -149,6 +149,8 @@ class TestCliNumbers:
         ["trim", "--gamma", "35", "--alpha=-inf"],
         ["compare", "--gamma", "inf"],
         ["sweep", "--margin", "nan"],
+        ["sweep", "--jobs", "0"],
+        ["--jobs", "-1", "sweep"],
     ])
     def test_bad_number_exits_2_without_traceback(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -286,10 +288,12 @@ class TestCliFit:
         assert doc["reports"]["thrust"]["r_squared"] >= 0.999
 
     def test_fit_write_to_dir(self, data_dir, tmp_path, capsys):
+        argv = ["fit", "esc", str(data_dir / "bench_esc.csv")]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
         out = tmp_path / "frag"
-        assert main(["fit", "esc", str(data_dir / "bench_esc.csv"),
-                     "--out", str(out)]) == 0
-        assert (out / "fit_esc.json").exists()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (out / "fit_esc.json").read_bytes() == printed.encode()
 
     def test_malformed_table_exits_2(self, data_dir):
         assert main(["fit", "prop", str(data_dir / "malformed_prop.dat")]) == 2
@@ -428,3 +432,85 @@ class TestAtomicWrite:
         cli._write_text(target, "new\n")
         assert target.read_text() == "new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+class TestRepeatedMainCalls:
+    """main() reuses its parser and the last config's parse within one process;
+    every call must still behave as a call in a fresh process."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(self, argv, capsys):
+        from liftwing import cli, config
+        cli._parser.cache_clear()
+        config._parse_config.cache_clear()
+        return self.run(argv, capsys)
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        import argparse
+
+        from liftwing import cli
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        counts = []
+        for argv in (["hover"], ["compare", "--speeds", "15"],
+                     ["trim", "--gamma", "35", "--alpha", "10"]):
+            assert main(argv) == 0
+            counts.append(len(built))
+        assert counts == [6, 6, 6]  # the top parser and its five subcommands, once
+
+    def test_failed_parse_leaves_nothing_behind(self, capsys):
+        bad = ["trim", "--gamma", "35", "--alpha", "10", "--speed", "15"]
+        good = ["--format", "json", "trim", "--gamma", "35", "--speed", "15"]
+        expected_bad, expected_good = self.fresh(bad, capsys), self.fresh(good, capsys)
+        assert expected_bad[0] == 2 and expected_good[0] == 0
+        assert [self.run(bad, capsys), self.run(good, capsys)] == [expected_bad, expected_good]
+
+    def test_options_do_not_carry_over(self, capsys):
+        expected = self.fresh(["compare"], capsys)
+        assert self.run(["--format", "json", "compare", "--speeds", "12"], capsys)[0] == 0
+        again = self.run(["compare"], capsys)
+        assert again == expected
+        rows = [line.split(",")[0] for line in again[1].splitlines()[3:]]
+        assert rows == ["5", "10", "15"]
+
+    def test_capacity_does_not_leak(self, capsys):
+        expected = self.fresh(["--format", "json", "hover"], capsys)
+        boosted = self.run(["--format", "json", "--capacity-mah", "9000", "hover"], capsys)
+        assert boosted != expected
+        assert self.run(["--format", "json", "hover"], capsys) == expected
+
+    def test_config_file_rewrites_are_seen(self, cfg, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        argv = ["--config", str(path), "--format", "json", "compare", "--speeds", "12,15"]
+        save_config(cfg, path)
+        original = self.fresh(argv, capsys)
+        assert original[0] == 0
+
+        save_config(dataclasses.replace(cfg, mounting_angle=30.0), path)
+        changed = self.run(argv, capsys)
+        assert changed[0] == 0 and changed[1] != original[1]
+        assert changed == self.fresh(argv, capsys)
+
+        path.write_text("{not json")
+        message = (f"config error: config {path} is not valid JSON: Expecting property name "
+                   "enclosed in double quotes: line 1 column 2 (char 1)\n")
+        assert self.run(argv, capsys) == (2, "", message)
+        assert self.run(argv, capsys) == (2, "", message)  # the error is not cached
+
+        save_config(cfg, path)
+        assert self.run(argv, capsys) == original
