@@ -340,7 +340,7 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
     af, env, tilt = b.airframe, b.environment, b.apply_tilt_loss
     props = (b.thrust_surrogate, b.torque_surrogate, b.esc, b.battery)
     if _replaced("trim_at_speed", "wingless_trim_at_speed"):
-        return _rows(speeds, [side for v in speeds for side in (
+        return _rows(speeds, [_current(side) for v in speeds for side in (
             _attempt(trim_at_speed, af, env, b.aero, *props, cfg.mounting_angle, v, tilt),
             _attempt(wingless_trim_at_speed, af, env, *props, v, cfg.parasite_drag_area,
                      tilt))])
@@ -351,14 +351,20 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
         sides.append(_attempt(wingless_balance_at_speed, af, env, v, cfg.parasite_drag_area,
                               tilt))
     balanced = [k for k, side in enumerate(sides) if not isinstance(side, str)]
-    points = complete_balances(b, [sides[k] for k in balanced])
-    for k, point in zip(balanced, points):
-        sides[k] = point if point is not None else _attempt(_complete, af, *props, *sides[k])
+    currents = complete_balances(b, [sides[k] for k in balanced])
+    for k, current in zip(balanced, currents):
+        sides[k] = (current if current is not None
+                    else _current(_attempt(_complete, af, *props, *sides[k])))
     return _rows(speeds, sides)
 
 
+def _current(side):
+    """A side's total current from its TrimPoint; an error text stays as it is."""
+    return side if isinstance(side, str) else side.total_current
+
+
 def _rows(speeds: list[float], sides: list) -> list[dict]:
-    """compare's rows from each speed's wing and wingless side, a TrimPoint or an error text."""
+    """compare's rows from each speed's wing and wingless side: a current or an error text."""
     rows = []
     for v, wing, bare in zip(speeds, sides[::2], sides[1::2]):
         row: dict = {"speed_m_s": v}
@@ -366,7 +372,7 @@ def _rows(speeds: list[float], sides: list) -> list[dict]:
             if isinstance(side, str):
                 row[f"{name}_error"] = side
             else:
-                row[f"{name}_current_A"] = side.total_current
+                row[f"{name}_current_A"] = side
         if "wing_current_A" in row and "wingless_current_A" in row:
             iw, ib = row["wing_current_A"], row["wingless_current_A"]
             row["saving_percent"] = 100.0 * (ib - iw) / ib
@@ -374,11 +380,31 @@ def _rows(speeds: list[float], sides: list) -> list[dict]:
     return rows
 
 
+# compact, with a raw NUL between items: inside a string NUL is always \u0000
+_FLAT_ENCODER = json.JSONEncoder(separators=("\x00", ": "))
+
+
+def _rows_json(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2), byte for byte, for a list of flat dicts with str keys.
+
+    json's C encoder runs only without indent, so every key and value of every
+    row is encoded in one compact pass over one flat list and split at each
+    raw NUL; the pieces then fill a layout of indent=2's lines.
+    """
+    if not rows:
+        return "[]"
+    items = _FLAT_ENCODER.encode(
+        [x for row in rows for pair in row.items() for x in pair])[1:-1].split("\x00")
+    layout = ",\n".join(["  {{\n" + ("    {}: {},\n" * len(row))[:-2] + "\n  }}" if row
+                         else "  {{}}" for row in rows])
+    return ("[\n" + layout + "\n]").format(*items)
+
+
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = compare_rows(cfg, args.speeds)
 
     if args.format == "json":
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        sys.stdout.write(_rows_json(rows) + "\n")
     else:
         out = io.StringIO()
         out.write(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .aero import Airframe, Environment, LinearAeroModel
 from .errors import ConfigError
-from .propulsion import EscCurrentModel, PolySurrogate, require_quadratic_in_rpm
+from .propulsion import EscCurrentModel, PolySurrogate, esc_current, require_quadratic_in_rpm
 from .sweep import ModelBundle, SweepGrid
 from .trim import Battery
 
@@ -280,6 +280,11 @@ def config_from_dict(doc: dict) -> RunConfig:
             const=_num(esc_doc["const_A"], "esc.const_A"),
             torque_domain=_pair(esc_doc["torque_domain_Nm"], "esc.torque_domain_Nm"),
         )
+        # the model rises over its domain, so this bounds the current everywhere on it
+        lowest = esc_current(esc, esc.torque_domain[0])
+        if not lowest > 0.0:
+            raise ConfigError(f"esc: current at M={esc.torque_domain[0]} N*m, the low end of "
+                              f"torque_domain_Nm, is {lowest} A; it must be positive")
         bat_doc = _require(doc.get("battery", {}), ("capacity_As",), "battery")
         battery = Battery(capacity=_num(bat_doc["capacity_As"], "battery.capacity_As"))
 

@@ -46,7 +46,7 @@ _OK, _HOVER, _AERO, _RPM, _SURROGATE, _ESC = range(len(STATUSES))
 
 # SweepColumns.values columns: the TrimPoint fields after gamma and alpha
 VALUE_FIELDS = tuple(f.name for f in fields(TrimPoint))[2:]
-_RANGE = VALUE_FIELDS.index("range")
+_RANGE, _TOTAL = VALUE_FIELDS.index("range"), VALUE_FIELDS.index("total_current")
 
 # Largest grid a SweepGrid admits; the 0.1 deg default-bounds grid has ~84k cells.
 MAX_GRID_CELLS = 250_000
@@ -330,18 +330,18 @@ def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
     return status, values
 
 
-def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[TrimPoint | None]:
-    """trim._complete on each balance (gamma, alpha, theta, airspeed, thrust per rotor).
+def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[float | None]:
+    """The total current trim._complete gives each balance; None where it would raise.
 
-    All balances run through the column chain in one call; a balance for
-    which _complete would raise gives None.
+    A balance is (gamma, alpha, theta, airspeed, thrust per rotor). All
+    balances run through the column chain in one call.
     """
-    gamma, alpha, theta, airspeed, thrust = np.array(balances, dtype=float).reshape(-1, 5).T
+    _, _, theta, airspeed, thrust = np.array(balances, dtype=float).reshape(-1, 5).T
     status = np.full(len(theta), _OK, dtype=np.int8)
     sin_t = np.array([math.sin(math.radians(t)) for t in theta.tolist()])
     values = _propulsion(bundle, theta, sin_t, airspeed, thrust, status)
-    return [TrimPoint(g, a, *row) if s == _OK else None for g, a, s, row in zip(
-        gamma.tolist(), alpha.tolist(), status.tolist(), values.tolist())]
+    return [total if s == _OK else None
+            for s, total in zip(status.tolist(), values[:, _TOTAL].tolist())]
 
 
 def _select_argmax(columns: SweepColumns, alpha_cap: float) -> SweepCell:

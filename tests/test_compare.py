@@ -82,6 +82,12 @@ class TestCompareMatchesScalarReference:
         monkeypatch.setattr(cli, "compare_rows", reference_compare)
         assert batched == _cli_output(c, speeds, tmp_path, capsys, fmt)
 
+    @pytest.mark.parametrize("variant, speeds", CASES, ids=CASE_IDS)
+    def test_json_output_equals_json_dumps(self, cfg, variant, speeds, tmp_path, capsys):
+        c = variant(cfg)
+        _, captured = _cli_output(c, speeds, tmp_path, capsys, "json")
+        assert captured.out == json.dumps(reference_compare(c, speeds), indent=2) + "\n"
+
     def test_every_error_kind_is_exercised(self, cfg):
         kinds = set()
         for variant, speeds in CASES:
@@ -167,3 +173,22 @@ class TestReplacedSideSolver:
         rows = cli.compare_rows(c, speeds)
         assert len(calls) == len(speeds)
         assert json.dumps(rows) == json.dumps(reference_compare(c, speeds))
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ud800\U0001f681'),
+                          st.characters()))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308]))
+
+
+class TestRowsJson:
+    """cmd_compare's one-pass emitter against json.dumps(rows, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(_TEXT, st.one_of(_FLOATS, _TEXT), max_size=6), max_size=6))
+    def test_equals_json_dumps(self, rows):
+        assert cli._rows_json(rows) == json.dumps(rows, indent=2)
+
+    @pytest.mark.parametrize("rows", [[], [{}], [{}, {}], [{}, {"a": 1.0}, {}],
+                                      [{"\x00": "\x00", "{}": "%s{0}", "é": float("nan")}]])
+    def test_edge_rows(self, rows):
+        assert cli._rows_json(rows) == json.dumps(rows, indent=2)

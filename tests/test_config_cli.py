@@ -174,6 +174,26 @@ class TestCliConfigHandling:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "hover"]) == 2
 
+    @pytest.mark.parametrize("const", [-10.0, None], ids=["negative", "zero"])
+    @pytest.mark.parametrize("argv", [["hover"], ["sweep"], ["compare", "--speeds", "15"]])
+    def test_non_positive_esc_current_exits_2(self, cfg, tmp_path, capsys, monkeypatch, argv,
+                                              const):
+        monkeypatch.chdir(tmp_path)  # sweep writes nothing, but keep it out of the repo
+        m = cfg.esc.torque_domain[0]
+        if const is None:  # exactly 0 A at the low end of the domain
+            const = -(cfg.esc.quad * m * m + cfg.esc.lin * m)
+        doc = config_to_dict(cfg)
+        doc["esc"]["const_A"] = const
+        path = tmp_path / "esc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        lowest = cfg.esc.quad * m * m + cfg.esc.lin * m + const
+        assert captured.out == ""
+        assert captured.err == (f"config error: esc: current at M={m} N*m, the low end of "
+                                f"torque_domain_Nm, is {lowest} A; it must be positive\n")
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_fallback(self, cfg, tmp_path, monkeypatch, capsys):
         custom = dataclasses.replace(cfg, mounting_angle=30.0)
         path = tmp_path / "env.json"
