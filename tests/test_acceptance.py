@@ -50,7 +50,7 @@ def _report(num: int, ok: bool, detail: str = "") -> bool:
 def _sample_feasible(bundle, rng, count):
     """Randomly sampled feasible (gamma, alpha) cells under the given bundle."""
     cases = []
-    while len(cases) < count:
+    for draws in range(1, 50 * count + 1):
         gamma = rng.uniform(2.0, 50.0)
         alpha = rng.uniform(1.0, 17.9)
         if alpha >= gamma - 0.2:
@@ -60,6 +60,9 @@ def _sample_feasible(bundle, rng, count):
         except LiftwingError:
             continue
         cases.append((gamma, alpha, point))
+        if len(cases) == count:
+            break
+    assert len(cases) == count, f"{draws - len(cases)} of {draws} draws rejected"
     return cases
 
 
@@ -84,7 +87,7 @@ def test_criterion_2_closed_form_vs_scan_oracles(bundle):
 
     worst_v = 0.0
     checked = 0
-    while checked < 200:
+    for draws in range(1, 50 * 200 + 1):
         gamma = rng.uniform(3.0, 50.0)
         alpha = rng.uniform(1.0, min(17.9, gamma - 0.5))
         try:
@@ -98,10 +101,13 @@ def test_criterion_2_closed_form_vs_scan_oracles(bundle):
                                   aero.drag_slope * alpha + aero.drag_intercept, gamma - alpha)
         worst_v = max(worst_v, abs(v - scan))
         checked += 1
+        if checked == 200:
+            break
+    assert checked == 200, f"{draws - checked} of {draws} speed draws rejected"
 
     worst_t = 0.0
     checked = 0
-    while checked < 200:
+    for draws in range(1, 50 * 200 + 1):
         gamma = rng.uniform(25.0, 48.0)
         speed = rng.uniform(10.8, 20.0)
         try:
@@ -114,6 +120,9 @@ def test_criterion_2_closed_form_vs_scan_oracles(bundle):
                                    af.reference_area, aero, gamma, speed)
         worst_t = max(worst_t, abs(point.theta - scan))
         checked += 1
+        if checked == 200:
+            break
+    assert checked == 200, f"{draws - checked} of {draws} pitch draws rejected"
 
     ok = worst_v <= 2e-4 and worst_t <= 2e-4
     assert _report(2, ok, f"|dV| max {worst_v:.2e} m/s, |dtheta| max {worst_t:.2e} deg "
@@ -126,7 +135,7 @@ def test_criterion_3_rpm_inversion(bundle):
     worst_round = 0.0
     worst_pair = 0.0
     checked = 0
-    while checked < 100:
+    for draws in range(1, 50 * 100 + 1):
         vp = rng.uniform(0.0, 15.0)
         n_true = rng.uniform(2200.0, 9800.0)
         t = thrust(surrogate, n_true, vp)
@@ -137,6 +146,9 @@ def test_criterion_3_rpm_inversion(bundle):
         closed = closed_form_rpm(surrogate, t, vp)
         worst_pair = max(worst_pair, abs(n - closed))
         checked += 1
+        if checked == 100:
+            break
+    assert checked == 100, f"{draws - checked} of {draws} draws rejected"
     ok = worst_round <= 1e-9 and worst_pair <= 1e-6
     assert _report(3, ok, f"round-trip residual max {worst_round:.2e} N (limit 1e-9), "
                           f"closed-form vs bisection max {worst_pair:.2e} RPM (limit 1e-6)")

@@ -200,7 +200,7 @@ class TestRequiredRpm:
     def test_closed_form_agrees_with_bisection(self):
         rng = random.Random(42)
         checked = 0
-        while checked < 100:
+        for draws in range(1, 50 * 100 + 1):
             vp = rng.uniform(0.0, 15.0)
             n_true = rng.uniform(2200.0, 9800.0)
             t = thrust(THRUST_DEFAULT, n_true, vp)
@@ -211,6 +211,9 @@ class TestRequiredRpm:
             assert n_closed is not None
             assert n_bisect == pytest.approx(n_closed, abs=1e-6)
             checked += 1
+            if checked == 100:
+                break
+        assert checked == 100, f"{draws - checked} of {draws} draws rejected"
 
     def test_falling_branch_rejected(self):
         # downward parabola in N: any crossing has negative slope past the peak

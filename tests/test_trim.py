@@ -95,7 +95,7 @@ class TestTrimAirspeed:
     def test_random_cases_against_scan_oracle(self):
         rng = random.Random(1)
         checked = 0
-        while checked < 10:
+        for draws in range(1, 50 * 10 + 1):
             gamma = rng.uniform(5.0, 50.0)
             alpha = rng.uniform(1.0, min(17.9, gamma - 1.0))
             if alpha >= gamma:
@@ -112,6 +112,9 @@ class TestTrimAirspeed:
                 0.01587 * alpha + 0.14, gamma - alpha)
             assert v == pytest.approx(scan, abs=2e-4)
             checked += 1
+            if checked == 10:
+                break
+        assert checked == 10, f"{draws - checked} of {draws} draws rejected"
 
 
 class TestSolveTrim:
@@ -243,7 +246,7 @@ def test_residuals_hold_across_random_feasible_points():
     rng = random.Random(7)
     mg = B.airframe.mass * B.environment.gravity
     checked = 0
-    while checked < 50:
+    for draws in range(1, 50 * 50 + 1):
         gamma = rng.uniform(2.0, 50.0)
         alpha = rng.uniform(1.0, 17.9)
         if alpha >= gamma:
@@ -255,6 +258,9 @@ def test_residuals_hold_across_random_feasible_points():
         res_v, res_h = wing_residuals(point, B.airframe, B.environment, B.aero)
         assert abs(res_v) <= 1e-6 * mg and abs(res_h) <= 1e-6 * mg
         checked += 1
+        if checked == 50:
+            break
+    assert checked == 50, f"{draws - checked} of {draws} draws rejected"
 
 
 def _outcome(fn, *args):
