@@ -61,6 +61,28 @@ class TestGrid:
         with pytest.raises(ValueError):
             SweepGrid(50.0, 1.0, 1.0, 1.0, 18.0, 1.0)
 
+    BAD_ALPHA_AXES = [{"alpha_step": 0.0}, {"alpha_step": -1.0},
+                      {"alpha_min": 18.0, "alpha_max": 1.0}]
+    BAD_ALPHA_IDS = ["zero-step", "negative-step", "min-above-max"]
+
+    @pytest.mark.parametrize("axis", BAD_ALPHA_AXES, ids=BAD_ALPHA_IDS)
+    def test_bad_alpha_axis_rejected(self, axis):
+        with pytest.raises(ValueError):
+            SweepGrid(**axis)
+
+    @pytest.mark.parametrize("axis", BAD_ALPHA_AXES, ids=BAD_ALPHA_IDS)
+    def test_config_with_bad_alpha_axis_exits_2(self, cfg, axis, tmp_path, capsys):
+        from liftwing import config_to_dict
+        from liftwing.cli import main
+        doc = config_to_dict(cfg)
+        doc["grid"].update({f"{key}_deg": value for key, value in axis.items()})
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "sweep", "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestPoolBound:
     @pytest.mark.parametrize("jobs, cpus, grid, workers", [
