@@ -32,7 +32,6 @@ from .fitting import (
 )
 from .propulsion import (
     EscCurrentModel,
-    NondimPoint,
     PolySurrogate,
     axial_inflow,
     esc_current,

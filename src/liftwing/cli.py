@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     RankDeficient,
     UnknownUnit,
+    describe,
 )
 from .fitting import (
     FitReport,
@@ -47,7 +48,7 @@ from .fitting import (
 )
 from .sweep import (CURVE_CSV_HEADER, apply_alpha_cap, cells_to_csv, complete_balances,
                     csv_chunks, curve_to_csv, summary_to_json, sweep)
-from .trim import (Battery, TrimPoint, _complete, balance_at_speed, solve_trim, trim_at_speed,
+from .trim import (Battery, TrimPoint, balance_at_speed, solve_trim, trim_at_speed,
                    wingless_balance_at_speed, wingless_trim_at_speed)
 
 MAH_PER_S_PER_A = 1000.0 / 3600.0  # 1 A = 1000/3600 mAh/s
@@ -320,21 +321,21 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _attempt(fn, *args):
-    """fn(*args), or the text "<error type>: <message>" of its typed failure."""
+    """fn(*args), or its typed failure as errors.describe words it."""
     try:
         return fn(*args)
     except (LiftwingError, ValueError) as err:
-        return f"{type(err).__name__}: {err}"
+        return describe(err)
 
 
 def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
     """One comparison row per speed; infeasible sides are marked, not dropped.
 
     Each side's force balance is solved per speed. Every side that balances
-    then runs through the sweep's column propulsion chain in one call; a side
-    that fails there runs the scalar chain again for its error text. If a
-    caller has replaced trim_at_speed or wingless_trim_at_speed in this
-    module, those are called for every side instead, with the same rows.
+    then runs through the sweep's column propulsion chain in one call, which
+    gives its current or its error text. If a caller has replaced
+    trim_at_speed or wingless_trim_at_speed in this module, those are called
+    for every side instead, with the same rows.
     """
     b = cfg.bundle()
     af, env, tilt = b.airframe, b.environment, b.apply_tilt_loss
@@ -351,10 +352,8 @@ def compare_rows(cfg: RunConfig, speeds: list[float]) -> list[dict]:
         sides.append(_attempt(wingless_balance_at_speed, af, env, v, cfg.parasite_drag_area,
                               tilt))
     balanced = [k for k, side in enumerate(sides) if not isinstance(side, str)]
-    currents = complete_balances(b, [sides[k] for k in balanced])
-    for k, current in zip(balanced, currents):
-        sides[k] = (current if current is not None
-                    else _current(_attempt(_complete, af, *props, *sides[k])))
+    for k, side in zip(balanced, complete_balances(b, [sides[k] for k in balanced])):
+        sides[k] = side
     return _rows(speeds, sides)
 
 
@@ -523,10 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(cfg, args)
     except _INFEASIBLE_ERRORS as err:
-        sys.stderr.write(f"infeasible: {type(err).__name__}: {err}\n")
+        sys.stderr.write(f"infeasible: {describe(err)}\n")
         return 3
     except _BAD_INPUT_ERRORS as err:
-        sys.stderr.write(f"bad input: {type(err).__name__}: {err}\n")
+        sys.stderr.write(f"bad input: {describe(err)}\n")
         return 2
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")

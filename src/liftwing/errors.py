@@ -75,3 +75,8 @@ class ConfigError(LiftwingError):
 
 class BadArgument(LiftwingError):
     """A command-line value outside the range the model accepts."""
+
+
+def describe(err: Exception) -> str:
+    """An error as liftwing reports it: "<error type>: <message>"."""
+    return f"{type(err).__name__}: {err}"

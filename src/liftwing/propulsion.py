@@ -11,7 +11,32 @@ import math
 from dataclasses import dataclass
 
 from .aero import Environment
-from .errors import Infeasible, OutOfEscDomain, OutOfSurrogateDomain
+from .errors import Infeasible, LiftwingError, OutOfEscDomain, OutOfSurrogateDomain
+
+STATUS_RPM, STATUS_SURROGATE, STATUS_ESC = "rpm-infeasible", "surrogate-domain", "esc-domain"
+_VP_IN_DOMAIN = (STATUS_SURROGATE, OutOfSurrogateDomain, "V_p={0} m/s outside fit range {1}")
+
+# trim._complete's checks in the order it makes them (required_rpm's three,
+# the torque surrogate's check_domain, esc_current), each as (sweep status of
+# a failed cell, error class, message template). A template is formatted with
+# the value checked, its bound as a list and the thrust unit, and uses what it
+# names. The sweep's column chain records a failed row's check by its index.
+CHECKS = (
+    (STATUS_RPM, Infeasible, "thrust_required must be positive and finite"),
+    _VP_IN_DOMAIN,
+    (STATUS_RPM, Infeasible, "no rising-branch N in {1} RPM gives {0} {2}"),
+    _VP_IN_DOMAIN,
+    (STATUS_SURROGATE, OutOfSurrogateDomain, "N={0} RPM outside fit range {1}"),
+    (STATUS_ESC, OutOfEscDomain, "M={0} N*m outside fit range {1}"),
+)
+POSITIVE_THRUST, THRUST_VP, RISING_ROOT, TORQUE_VP, TORQUE_RPM, ESC_TORQUE = range(len(CHECKS))
+
+
+def check_error(check: int, value: float, bound: tuple = (), unit: str = "") -> LiftwingError:
+    """The error of failing CHECKS[check] with ``value``; an Infeasible is stage "rpm"."""
+    _, error, template = CHECKS[check]
+    text = template.format(value, list(bound), unit)
+    return error(text, stage="rpm") if error is Infeasible else error(text)
 
 
 def power(x: float, k: int) -> float:
@@ -52,13 +77,9 @@ class PolySurrogate:
 
     def check_domain(self, rpm: float, vp: float) -> None:
         if not self.vp_domain[0] <= vp <= self.vp_domain[1]:
-            raise OutOfSurrogateDomain(
-                f"V_p={vp} m/s outside fit range {list(self.vp_domain)}"
-            )
+            raise check_error(TORQUE_VP, vp, self.vp_domain)
         if not self.rpm_domain[0] <= rpm <= self.rpm_domain[1]:
-            raise OutOfSurrogateDomain(
-                f"N={rpm} RPM outside fit range {list(self.rpm_domain)}"
-            )
+            raise check_error(TORQUE_RPM, rpm, self.rpm_domain)
 
     # Plain left-to-right float adds: builtin sum() compensates rounding from
     # Python 3.12 on. The sweep's column kernel runs these same loops on
@@ -111,18 +132,6 @@ class EscCurrentModel:
         object.__setattr__(self, "torque_domain", (float(lo), float(hi)))
 
 
-@dataclass(frozen=True)
-class NondimPoint:
-    """Nondimensional propeller operating point (thrust and torque coefficients)."""
-
-    thrust_coefficient: float
-    torque_coefficient: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.thrust_coefficient) and math.isfinite(self.torque_coefficient)):
-            raise ValueError("coefficients must be finite")
-
-
 def axial_inflow(airspeed: float, pitch: float) -> float:
     """Airspeed component through the rotor disk: V_p = V sin(theta)."""
     if airspeed < 0.0:
@@ -164,7 +173,7 @@ def esc_current(model: EscCurrentModel, torque_nm: float) -> float:
     """ESC current in A for shaft torque ``torque_nm``; raw fitted value."""
     lo, hi = model.torque_domain
     if not lo <= torque_nm <= hi:
-        raise OutOfEscDomain(f"M={torque_nm} N*m outside fit range [{lo}, {hi}]")
+        raise check_error(ESC_TORQUE, torque_nm, model.torque_domain)
     return model.quad * torque_nm * torque_nm + model.lin * torque_nm + model.const
 
 
@@ -182,11 +191,9 @@ def required_rpm(surrogate: PolySurrogate, thrust_required: float, vp: float) ->
     """
     require_quadratic_in_rpm(surrogate)
     if not 0.0 < thrust_required < math.inf:
-        raise Infeasible("thrust_required must be positive and finite", stage="rpm")
+        raise check_error(POSITIVE_THRUST, thrust_required)
     if not surrogate.vp_domain[0] <= vp <= surrogate.vp_domain[1]:
-        raise OutOfSurrogateDomain(
-            f"V_p={vp} m/s outside fit range {list(surrogate.vp_domain)}"
-        )
+        raise check_error(THRUST_VP, vp, surrogate.vp_domain)
 
     coeffs = [0.0, 0.0, 0.0]
     for i, j, k in surrogate.terms:
@@ -204,9 +211,6 @@ def required_rpm(surrogate: PolySurrogate, thrust_required: float, vp: float) ->
     lo, hi = surrogate.rpm_domain
     rising = [r for r in roots if lo <= r <= hi and surrogate.d_drpm(r, vp) > 0.0]
     if not rising:
-        raise Infeasible(
-            f"no rising-branch N in {list(surrogate.rpm_domain)} RPM gives "
-            f"{thrust_required} {surrogate.output_unit}",
-            stage="rpm",
-        )
+        raise check_error(RISING_ROOT, thrust_required, surrogate.rpm_domain,
+                          surrogate.output_unit)
     return min(rising)

@@ -13,7 +13,8 @@ trigonometry comes from ``math``, squares are x * x on both paths, higher
 integer powers come from Python's float ``**`` (numpy's differ from libm in
 the last bit), and sums run in the same order. The propulsion half of that
 chain also completes compare's force balances (complete_balances), so both
-commands share one column chain.
+commands share one column chain. Its checks are propulsion.CHECKS, the table
+the scalar path raises from, so a failed row's check also words its error.
 """
 
 from __future__ import annotations
@@ -29,20 +30,21 @@ from functools import cached_property, partial
 import numpy as np
 
 from .aero import Airframe, Environment, LinearAeroModel
-from .errors import AlphaNotOnGrid, EmptyFeasibleSet
-from .propulsion import EscCurrentModel, PolySurrogate, require_quadratic_in_rpm
+from .errors import AlphaNotOnGrid, EmptyFeasibleSet, describe
+from .propulsion import (CHECKS, ESC_TORQUE, POSITIVE_THRUST, RISING_ROOT, STATUS_ESC,
+                         STATUS_RPM, STATUS_SURROGATE, THRUST_VP, TORQUE_RPM, TORQUE_VP,
+                         EscCurrentModel, PolySurrogate, check_error, require_quadratic_in_rpm)
 from .trim import Battery, TrimPoint, _thrust_factor, solve_trim
 
 STATUS_OK = "ok"
 STATUS_HOVER = "hover-degenerate"
 STATUS_AERO = "aero-infeasible"
-STATUS_RPM = "rpm-infeasible"
-STATUS_ESC = "esc-domain"
-STATUS_SURROGATE = "surrogate-domain"
 
 # SweepColumns.status holds indices into this tuple
 STATUSES = (STATUS_OK, STATUS_HOVER, STATUS_AERO, STATUS_RPM, STATUS_SURROGATE, STATUS_ESC)
-_OK, _HOVER, _AERO, _RPM, _SURROGATE, _ESC = range(len(STATUSES))
+_OK, _HOVER, _AERO = range(3)
+# the status code of a cell failing each propulsion check
+_CHECK_STATUS = np.array([STATUSES.index(status) for status, _, _ in CHECKS], dtype=np.int8)
 
 # SweepColumns.values columns: the TrimPoint fields after gamma and alpha
 VALUE_FIELDS = tuple(f.name for f in fields(TrimPoint))[2:]
@@ -237,13 +239,6 @@ def _required_rpm(surrogate: PolySurrogate, thrust: np.ndarray, vp: np.ndarray) 
     return rpm
 
 
-def _mark(status: np.ndarray, live: np.ndarray, bad: np.ndarray, code: int) -> None:
-    """Give the live cells in ``bad`` status ``code``; they leave the live set."""
-    hit = live & bad
-    status[hit] = code
-    live &= ~hit
-
-
 def _outside(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     return ~((domain[0] <= x) & (x <= domain[1]))
 
@@ -256,38 +251,50 @@ def _trig(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _propulsion(bundle: ModelBundle, theta: np.ndarray, sin_t: np.ndarray,
-                airspeed: np.ndarray, thrust: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """trim._complete over columns of force balances: rows of VALUE_FIELDS.
+                airspeed: np.ndarray, thrust: np.ndarray, live: np.ndarray):
+    """trim._complete over columns of force balances: (failed, tested, bounds, value rows).
 
-    ``sin_t`` is math.sin of each theta in radians. Cells whose status is ok
-    on entry run the chain; each gets the status code of the check where
-    _complete raises for it, in _complete's order: thrust, the V_p domain,
-    rotor speed, the torque surrogate's domain, the ESC domain. Rows of cells
-    not ok on return hold no meaning.
+    ``sin_t`` is math.sin of each theta in radians. Rows ``live`` on entry
+    run the checks of CHECKS, in its order; ``live`` is left marking the rows
+    that pass them, the only rows whose VALUE_FIELDS rows hold meaning.
+    ``failed`` holds the index into CHECKS of the check a row fails (-1 where
+    none is) and ``tested`` the value that check tested; ``bounds[k]`` is the
+    bound check k tests against.
     """
     thrust_model, torque_model, esc = bundle.thrust_surrogate, bundle.torque_surrogate, bundle.esc
     n = bundle.airframe.rotor_count
-    live = status == _OK
-    # dead cells may divide by zero or carry NaN from here on; they stay dead
+    failed = np.full(len(thrust), -1, dtype=np.int8)
+    tested = np.full(len(thrust), np.nan)
+    bounds = [None] * len(CHECKS)
+
+    def check(k: int, value: np.ndarray, bound: tuple, bad: np.ndarray | None = None) -> None:
+        """Live rows that fail check k (by default: ``value`` outside ``bound``) leave."""
+        bounds[k] = bound
+        hit = live & (_outside(value, bound) if bad is None else bad)
+        failed[hit], tested[hit] = k, value[hit]
+        live[hit] = False
+
+    # dead rows may divide by zero or carry NaN from here on; they stay dead
     with np.errstate(all="ignore"):
-        _mark(status, live, ~((thrust > 0.0) & (thrust < math.inf)), _RPM)
+        check(POSITIVE_THRUST, thrust, (), ~((thrust > 0.0) & (thrust < math.inf)))
         vp = airspeed * sin_t
-        _mark(status, live, _outside(vp, thrust_model.vp_domain), _SURROGATE)
+        check(THRUST_VP, vp, thrust_model.vp_domain)
 
         rpm = np.full(len(thrust), np.nan)
         rpm[live] = _required_rpm(thrust_model, thrust[live], vp[live])
-        _mark(status, live, np.isnan(rpm), _RPM)
-        _mark(status, live, _outside(vp, torque_model.vp_domain)
-              | _outside(rpm, torque_model.rpm_domain), _SURROGATE)
+        check(RISING_ROOT, thrust, thrust_model.rpm_domain, np.isnan(rpm))
+        check(TORQUE_VP, vp, torque_model.vp_domain)
+        check(TORQUE_RPM, rpm, torque_model.rpm_domain)
         torque_nm = np.full(len(thrust), np.nan)
         torque_nm[live] = torque_model.evaluate(rpm[live], vp[live], _pow)
-        _mark(status, live, _outside(torque_nm, esc.torque_domain), _ESC)
+        check(ESC_TORQUE, torque_nm, esc.torque_domain)
 
         current = esc.quad * torque_nm * torque_nm + esc.lin * torque_nm + esc.const
         total = n * current
         endurance = bundle.battery.capacity / total
-        return np.column_stack([theta, airspeed, thrust, rpm, torque_nm, current,
-                                total, endurance, airspeed * endurance])
+        return failed, tested, bounds, np.column_stack([theta, airspeed, thrust, rpm, torque_nm,
+                                                        current, total, endurance,
+                                                        airspeed * endurance])
 
 
 def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
@@ -324,24 +331,30 @@ def _solve_cells(bundle: ModelBundle, cells: tuple[np.ndarray, np.ndarray]):
         thrust = (mg - q_s * cl) / (n * kappa * cos_t)
     airspeed[hover] = 0.0
     thrust[hover] = mg / (n * kappa)
-    values = _propulsion(bundle, theta, sin_t, airspeed, thrust, status)
-    status[hover & (status == _OK)] = _HOVER  # zero range: typed, never the argmax
+    live = status == _OK
+    failed, _, _, values = _propulsion(bundle, theta, sin_t, airspeed, thrust, live)
+    hit = failed >= 0
+    status[hit] = _CHECK_STATUS[failed[hit]]
+    status[hover & live] = _HOVER  # zero range: typed, never the argmax
     values[status != _OK] = np.nan
     return status, values
 
 
-def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[float | None]:
-    """The total current trim._complete gives each balance; None where it would raise.
+def complete_balances(bundle: ModelBundle, balances: list[tuple]) -> list[float | str]:
+    """What trim._complete gives each balance: its total current, or its error's text.
 
-    A balance is (gamma, alpha, theta, airspeed, thrust per rotor). All
-    balances run through the column chain in one call.
+    A balance is (gamma, alpha, theta, airspeed, thrust per rotor), and the
+    text is errors.describe's. All balances run through the column chain in
+    one call.
     """
     _, _, theta, airspeed, thrust = np.array(balances, dtype=float).reshape(-1, 5).T
-    status = np.full(len(theta), _OK, dtype=np.int8)
     sin_t = np.array([math.sin(math.radians(t)) for t in theta.tolist()])
-    values = _propulsion(bundle, theta, sin_t, airspeed, thrust, status)
-    return [total if s == _OK else None
-            for s, total in zip(status.tolist(), values[:, _TOTAL].tolist())]
+    failed, tested, bounds, values = _propulsion(bundle, theta, sin_t, airspeed, thrust,
+                                                 np.ones(len(theta), dtype=bool))
+    unit = bundle.thrust_surrogate.output_unit
+    return [total if k < 0 else describe(check_error(k, value, bounds[k], unit))
+            for k, value, total in zip(failed.tolist(), tested.tolist(),
+                                       values[:, _TOTAL].tolist())]
 
 
 def _select_argmax(columns: SweepColumns, alpha_cap: float) -> SweepCell:
@@ -469,17 +482,13 @@ def curve_to_csv(result: SweepResult, alpha: float) -> str:
     return CURVE_CSV_HEADER + "\n" + "".join(lines)
 
 
-def argmax_summary(result: SweepResult) -> dict:
-    """The optimum as a plain dict (gamma*, alpha*, theta*, V*, range*)."""
+def summary_to_json(result: SweepResult) -> str:
+    """The optimum (gamma*, alpha*, theta*, V*, range*) as a JSON object."""
     p = result.argmax.point
-    return {
+    return json.dumps({
         "gamma_deg": p.gamma,
         "alpha_deg": p.alpha,
         "theta_deg": p.theta,
         "airspeed_m_s": p.airspeed,
         "range_m": p.range,
-    }
-
-
-def summary_to_json(result: SweepResult) -> str:
-    return json.dumps(argmax_summary(result), indent=2) + "\n"
+    }, indent=2) + "\n"

@@ -10,7 +10,6 @@ from liftwing import (
     Environment,
     EscCurrentModel,
     Infeasible,
-    NondimPoint,
     OutOfEscDomain,
     OutOfSurrogateDomain,
     PolySurrogate,
@@ -143,11 +142,6 @@ class TestCoefficientWrappers:
             thrust_from_coefficients(0.1, ENV, 100.0, 0.0)
         with pytest.raises(ValueError):
             torque_from_coefficients(0.1, ENV, -5.0, 0.2)
-
-    def test_nondim_point_finite(self):
-        NondimPoint(0.1, 0.01)
-        with pytest.raises(ValueError):
-            NondimPoint(math.inf, 0.01)
 
 
 ESC = EscCurrentModel(quad=73.05, lin=12.15, const=-0.511, torque_domain=(0.05, 0.6))
