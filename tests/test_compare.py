@@ -150,7 +150,7 @@ class TestScalarRerun:
             calls.append(args)
             return scalar(*args)
 
-        for module in (trim, cli):  # cli holds no _complete; one put there is caught too
+        for module in (trim, cli):  # also in cli, should compare_rows get its own _complete
             monkeypatch.setattr(module, "_complete", counting, raising=False)
         rows = cli.compare_rows(c, speeds)
         assert calls == []
